@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .model import DistanceConfig, Seeding, mirror_seeding, validate
+from .model import DistanceConfig, Seeding, _require_valid, mirror_seeding
 
 UNCLASSIFIED = "UNCLASSIFIED"
 
@@ -95,12 +95,6 @@ def _strict_cmp(lhs: Fraction, rhs: Fraction, description: str) -> int:
     if lhs == rhs:
         raise ClassificationTieError(description)
     return -1 if lhs < rhs else 1
-
-
-def _require_valid(cfg: DistanceConfig) -> None:
-    report = validate(cfg)
-    if not report.valid:
-        raise ValueError(f"config not valid: constraint fails at gaps {list(report.violations)}")
 
 
 def _end_tag(left: Fraction, gap: Fraction, right: Fraction, names: tuple[str, str, str]) -> str | None:

@@ -70,14 +70,6 @@ def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _require_valid(cfg: model.DistanceConfig) -> None:
-    report = model.validate(cfg)
-    if not report.valid:
-        raise CliError(
-            f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps {list(report.violations)}"
-        )
-
-
 def _plan_text(plan: cases.AdversarialPlan) -> str:
     parts = []
     for name, seeding in zip(plan.names, plan.candidates):
@@ -132,7 +124,7 @@ def render_trace(points: model.PointSet, trace: lloyd.LloydTrace) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    _require_valid(cfg)
+    model._require_valid(cfg)
     label = cases.classify(cfg)
     try:
         plan = cases.adversarial_plan(cfg)
@@ -189,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_probability(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    _require_valid(cfg)
+    model._require_valid(cfg)
     survey = verify.survey_seedings(cfg)
     probability = survey.probability
     if probability is None:
@@ -273,7 +265,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not args.config:
         raise CliError("certify needs a config (or --check PATH)")
     cfg = _load_config(args.config)
-    _require_valid(cfg)
+    model._require_valid(cfg)
     cert = verify.certify_config(cfg, oracle=True, include_traces=True)
     text = cert.to_json()
     if args.output:

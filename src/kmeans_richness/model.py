@@ -115,18 +115,36 @@ class ValidityReport:
         return tuple(sorted(self.exceeded + self.tied))
 
 
+def is_valid(a, p) -> bool:
+    """|a_j - a_{j+1}| < 2 p_j strictly at every gap, on plain sequences.
+
+    The test is homogeneous, so integer numerators over one positive
+    denominator answer exactly as the fractions they stand for.
+    """
+    for j in range(len(p)):
+        if abs(a[j] - a[j + 1]) >= 2 * p[j]:
+            return False
+    return True
+
+
 def validate(cfg: DistanceConfig) -> ValidityReport:
     """Check |a_j - a_{j+1}| < 2 p_{j,j+1} strictly at every gap."""
     exceeded: list[int] = []
     tied: list[int] = []
     for j in range(cfg.k - 1):
-        diff = abs(cfg.a[j] - cfg.a[j + 1])
-        bound = 2 * cfg.p[j]
-        if diff > bound:
-            exceeded.append(j + 1)
-        elif diff == bound:
-            tied.append(j + 1)
+        if not is_valid(cfg.a[j : j + 2], cfg.p[j : j + 1]):
+            on_bound = abs(cfg.a[j] - cfg.a[j + 1]) == 2 * cfg.p[j]
+            (tied if on_bound else exceeded).append(j + 1)
     return ValidityReport(tuple(exceeded), tuple(tied))
+
+
+def _require_valid(cfg: DistanceConfig) -> None:
+    """Raise ValueError naming the failing gaps unless ``cfg`` is valid."""
+    if not is_valid(cfg.a, cfg.p):
+        raise ValueError(
+            f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps"
+            f" {list(validate(cfg).violations)}"
+        )
 
 
 @dataclass(frozen=True)

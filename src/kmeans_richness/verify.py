@@ -22,7 +22,7 @@ from typing import Sequence
 from . import cases, lloyd, model
 from .cases import CaseLabel, PlanSemantics
 from .lloyd import DEFAULT_CAP, LineEngine, LloydTrace
-from .model import DistanceConfig, Seeding
+from .model import DistanceConfig, Seeding, _require_valid
 
 VERDICT_HOLDS = "plan-holds"
 VERDICT_VIOLATED = "plan-violated"
@@ -227,12 +227,6 @@ class Certificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _require_valid(cfg: DistanceConfig) -> None:
-    report = model.validate(cfg)
-    if not report.valid:
-        raise ValueError(f"config not valid: constraint fails at gaps {list(report.violations)}")
 
 
 def _oracle_record(
