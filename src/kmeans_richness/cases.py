@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .model import DistanceConfig, Seeding, _require_valid, mirror_seeding
 
@@ -47,12 +46,12 @@ class CaseLabel:
         text = self.tag if self.param is None else f"{self.tag}({self.param})"
         return text + ("~" if self.mirrored else "")
 
-    def matches(self, target: str) -> bool:
+    def matches(self, target: str | CaseLabel) -> bool:
         """Compare against a target like ``"AA"``, ``"AB~"`` or ``"BC(3)~"``.
 
-        A target without parentheses matches any param.
+        A target without parentheses matches any param.  It may come parsed.
         """
-        other = CaseLabel.parse(target)
+        other = target if isinstance(target, CaseLabel) else CaseLabel.parse(target)
         if (self.tag, self.mirrored) != (other.tag, other.mirrored):
             return False
         return other.param is None or other.param == self.param
@@ -91,25 +90,80 @@ class AdversarialPlan:
             raise ValueError("plan needs at least one candidate")
 
 
-def _strict_cmp(lhs: Fraction, rhs: Fraction, description: str) -> int:
-    if lhs == rhs:
-        raise ClassificationTieError(description)
-    return -1 if lhs < rhs else 1
+def _shape(left, gap, right, ties: tuple[str, str, str]) -> str | None:
+    """"A" ascending, "B" descending, "CA"/"CB" a pit with 3*left below/above
+    2*gap+right, None a peak; ``ties`` describes each comparison, in order."""
+    if left == gap:
+        raise ClassificationTieError(ties[0])
+    if gap == right:
+        raise ClassificationTieError(ties[1])
+    if left < gap:
+        return "A" if gap < right else None
+    if gap > right:
+        return "B"
+    split = 3 * left - (2 * gap + right)
+    if split == 0:
+        raise ClassificationTieError(ties[2])
+    return "CA" if split < 0 else "CB"
 
 
-def _end_tag(left: Fraction, gap: Fraction, right: Fraction, names: tuple[str, str, str]) -> str | None:
-    """AA ascending, AB descending, ACA/ACB pit split at (2*gap+right)/3, None peak."""
-    c1 = _strict_cmp(left, gap, f"{names[0]} = {names[1]}")
-    c2 = _strict_cmp(gap, right, f"{names[1]} = {names[2]}")
-    if c1 < 0 and c2 < 0:
-        return "AA"
-    if c1 > 0 and c2 > 0:
-        return "AB"
-    if c1 > 0 and c2 < 0:
-        threshold = (2 * gap + right) / 3
-        c3 = _strict_cmp(left, threshold, f"{names[0]} = (2*{names[1]}+{names[2]})/3")
-        return "ACA" if c3 < 0 else "ACB"
-    return None
+_LEFT_END = ("a1 = p12", "p12 = a2", "a1 = (2*p12+a2)/3")
+_RIGHT_END = ("a4 = p34", "p34 = a3", "a4 = (2*p34+a3)/3")
+_MIDDLE = ("a2 = p23", "p23 = a3", "a2 = (2*p23+a3)/3")
+# The ADC split names its sides the other way round from the ends' AC split.
+_MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}
+
+
+def _label4(a, p) -> CaseLabel:
+    a1, a2, a3, a4 = a
+    p12, p23, p34 = p
+    shape = _shape(a1, p12, a2, _LEFT_END)
+    if shape is not None:
+        return CaseLabel("A" + shape)
+    shape = _shape(a4, p34, a3, _RIGHT_END)
+    if shape is not None:
+        return CaseLabel("A" + shape, mirrored=True)
+    return CaseLabel(_MIDDLE_TAGS[_shape(a2, p23, a3, _MIDDLE)])
+
+
+def _label_k(a, p) -> CaseLabel:
+    k = len(a)
+    gaps = range(k - 1)
+    for m in gaps:
+        if a[m] == p[m]:
+            raise ClassificationTieError(f"a{m + 1} = p{m + 1},{m + 2}")
+    for m in gaps:
+        if p[m] == a[m + 1]:
+            raise ClassificationTieError(f"p{m + 1},{m + 2} = a{m + 2}")
+    above_left = [a[m] < p[m] for m in gaps]
+    above_right = [p[m] > a[m + 1] for m in gaps]
+    ascending = [m for m in gaps if above_left[m] and not above_right[m]]
+    descending = [m for m in gaps if above_right[m] and not above_left[m]]
+    if 0 in ascending:
+        return CaseLabel("BA")
+    if 0 in descending:
+        return CaseLabel("BB")
+    if ascending:
+        return CaseLabel("BC", param=ascending[0] + 1)
+    if descending:
+        # gap g of the original is gap k-g of the mirror; the smallest
+        # ascending mirror gap comes from the largest descending one here
+        return CaseLabel("BC", mirrored=True, param=k - (max(descending) + 1))
+    if not any(above_left) and not any(above_right):
+        longest = max(a)
+        if a.count(longest) > 1:
+            raise ClassificationTieError("longest intra-pair distance is tied")
+        return CaseLabel("BD", param=a.index(longest) + 1)
+    if all(above_left) and all(above_right):
+        return CaseLabel("BE")
+    return CaseLabel(UNCLASSIFIED)
+
+
+def label_of(a, p) -> CaseLabel:
+    """Case label of a valid config with k = len(a) >= 4, given as plain
+    sequences: fractions, or integer numerators over one positive denominator
+    (every region predicate is homogeneous).  The caller checks validity."""
+    return _label4(a, p) if len(a) == 4 else _label_k(a, p)
 
 
 def classify4(cfg: DistanceConfig) -> CaseLabel:
@@ -123,25 +177,7 @@ def classify4(cfg: DistanceConfig) -> CaseLabel:
     if cfg.k != 4:
         raise ValueError(f"classify4 needs k=4, got k={cfg.k}")
     _require_valid(cfg)
-    a1, a2, a3, a4 = cfg.a
-    p12, p23, p34 = cfg.p
-    tag = _end_tag(a1, p12, a2, ("a1", "p12", "a2"))
-    if tag is not None:
-        return CaseLabel(tag)
-    tag = _end_tag(a4, p34, a3, ("a4", "p34", "a3"))
-    if tag is not None:
-        return CaseLabel(tag, mirrored=True)
-    c1 = _strict_cmp(a2, p23, "a2 = p23")
-    c2 = _strict_cmp(p23, a3, "p23 = a3")
-    if c1 < 0 and c2 < 0:
-        return CaseLabel("ADA")
-    if c1 > 0 and c2 > 0:
-        return CaseLabel("ADB")
-    if c1 > 0 and c2 < 0:
-        threshold = (2 * p23 + a3) / 3
-        c3 = _strict_cmp(a2, threshold, "a2 = (2*p23+a3)/3")
-        return CaseLabel("ADCA" if c3 > 0 else "ADCB")
-    return CaseLabel("ADD")
+    return label_of(cfg.a, cfg.p)
 
 
 _SEEDS4 = {
@@ -193,30 +229,7 @@ def classify_k(cfg: DistanceConfig) -> CaseLabel:
     if cfg.k <= 4:
         raise ValueError(f"classify_k needs k>4, got k={cfg.k}")
     _require_valid(cfg)
-    k = cfg.k
-    a, p = cfg.a, cfg.p
-    left = [_strict_cmp(a[m], p[m], f"a{m + 1} = p{m + 1},{m + 2}") for m in range(k - 1)]
-    right = [_strict_cmp(p[m], a[m + 1], f"p{m + 1},{m + 2} = a{m + 2}") for m in range(k - 1)]
-    ascending = [m for m in range(k - 1) if left[m] < 0 and right[m] < 0]
-    descending = [m for m in range(k - 1) if left[m] > 0 and right[m] > 0]
-    if 0 in ascending:
-        return CaseLabel("BA")
-    if 0 in descending:
-        return CaseLabel("BB")
-    if ascending:
-        return CaseLabel("BC", param=ascending[0] + 1)
-    if descending:
-        # gap g of the original is gap k-g of the mirror; the smallest
-        # ascending mirror gap comes from the largest descending one here
-        return CaseLabel("BC", mirrored=True, param=k - (max(descending) + 1))
-    if all(left[m] > 0 and right[m] < 0 for m in range(k - 1)):
-        longest = max(a)
-        if a.count(longest) > 1:
-            raise ClassificationTieError("longest intra-pair distance is tied")
-        return CaseLabel("BD", param=a.index(longest) + 1)
-    if all(left[m] < 0 and right[m] > 0 for m in range(k - 1)):
-        return CaseLabel("BE")
-    return CaseLabel(UNCLASSIFIED)
+    return label_of(cfg.a, cfg.p)
 
 
 def _bc_seeding(m: int, k: int) -> Seeding:
@@ -260,12 +273,11 @@ def adversarial_plan_k(cfg: DistanceConfig) -> AdversarialPlan:
 
 
 def classify(cfg: DistanceConfig) -> CaseLabel:
-    """Dispatch on k; no case analysis exists below k=4."""
-    if cfg.k == 4:
-        return classify4(cfg)
-    if cfg.k > 4:
-        return classify_k(cfg)
-    raise ValueError(f"no case analysis for k={cfg.k}")
+    """Case label of a valid configuration; no case analysis exists below k=4."""
+    if cfg.k < 4:
+        raise ValueError(f"no case analysis for k={cfg.k}")
+    _require_valid(cfg)
+    return label_of(cfg.a, cfg.p)
 
 
 def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-# Exact signed fraction, stored in lowest terms with a positive denominator.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?\Z")
 
@@ -116,11 +114,8 @@ class ValidityReport:
 
 
 def is_valid(a, p) -> bool:
-    """|a_j - a_{j+1}| < 2 p_j strictly at every gap, on plain sequences.
-
-    The test is homogeneous, so integer numerators over one positive
-    denominator answer exactly as the fractions they stand for.
-    """
+    """|a_j - a_{j+1}| < 2 p_j at every gap of plain sequences; homogeneous, so
+    integer numerators over one positive denominator answer as their fractions."""
     for j in range(len(p)):
         if abs(a[j] - a[j + 1]) >= 2 * p[j]:
             return False
@@ -141,10 +136,8 @@ def validate(cfg: DistanceConfig) -> ValidityReport:
 def _require_valid(cfg: DistanceConfig) -> None:
     """Raise ValueError naming the failing gaps unless ``cfg`` is valid."""
     if not is_valid(cfg.a, cfg.p):
-        raise ValueError(
-            f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps"
-            f" {list(validate(cfg).violations)}"
-        )
+        gaps = list(validate(cfg).violations)
+        raise ValueError(f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps {gaps}")
 
 
 @dataclass(frozen=True)

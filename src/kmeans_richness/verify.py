@@ -392,7 +392,10 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     """Independently re-run a certificate's recorded seedings.
 
     Returns a list of discrepancies (empty means the certificate checks out).
+    Raises ValueError when ``data`` is not an object holding a config object.
     """
+    if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
+        raise ValueError("malformed certificate: expected a JSON object with a 'config' object")
     problems: list[str] = []
     cfg = model.config_from_dict(data["config"])
     engine = LineEngine(model.embed(cfg))
@@ -468,25 +471,29 @@ def sample_config(
     rng: random.Random,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> DistanceConfig:
-    """Rejection-sample a valid, predicate-tie-free config in the region."""
+    """Rejection-sample a valid, predicate-tie-free config in the region.
+
+    A draw is ``randint(1, bound)`` for each a, then each p.  Validity and the
+    label are tested on these numerators; only the accepted draw is divided.
+    """
     k = spec.k
     den = spec.denominator
     randint = rng.randint
     bound = spec.bound
+    target = None if spec.target == "all-valid" else CaseLabel.parse(spec.target)
     for _ in range(max_rejections):
-        a = tuple(Fraction(randint(1, bound), den) for _ in range(k))
-        p = tuple(Fraction(randint(1, bound), den) for _ in range(k - 1))
-        cfg = DistanceConfig(a, p)
-        if not model.validate(cfg).valid:
+        draws = [randint(1, bound) for _ in range(2 * k - 1)]
+        a, p = draws[:k], draws[k:]
+        if not model.is_valid(a, p):
             continue
         if k >= 4:
             try:
-                label = cases.classify(cfg)
+                label = cases.label_of(a, p)
             except cases.ClassificationTieError:
                 continue
-            if spec.target != "all-valid" and not label.matches(spec.target):
+            if target is not None and not label.matches(target):
                 continue
-        return cfg
+        return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
     raise RegionExhaustedError(
         f"no config for region {spec.name} in {max_rejections} draws at bound {spec.bound};"
         " raise the bound"

@@ -1,6 +1,9 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
+import hashlib
 import json
+
+import pytest
 
 from kmeans_richness.cli import main
 
@@ -208,6 +211,27 @@ class TestVerifyCommand:
         assert (tmp_path / "nested" / "report.json").exists()
 
 
+class TestGoldenReports:
+    """``verify`` report bytes are pinned: a change to sampling, classification
+    or certification that alters a report for a fixed seed shows here."""
+
+    @pytest.mark.parametrize(
+        "k, samples, digest",
+        [
+            ("4", "3", "540a66043bb9eb63bcdcb5fa1a3f4225d53bce56bfa8c561dd209ea0b638acd7"),
+            ("6", "2", "dc277aa5061726d4acfe2eefb1094b61857ff5ac9844ce022397db1be9b4b03f"),
+        ],
+    )
+    def test_report_sha256(self, capsys, tmp_path, k, samples, digest):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys,
+            "verify", "--k", k, "--samples", samples, "--seed", "0", "--output", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 class TestCertifyCommand:
     def test_certificate_and_check_roundtrip(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"
@@ -242,3 +266,13 @@ class TestCertifyCommand:
         code, _, err = run_cli(capsys, "certify")
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"config": []}'])
+    def test_check_malformed_certificate(self, capsys, tmp_path, text):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        code, out, err = run_cli(capsys, "certify", "--check", str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: malformed certificate")
