@@ -232,49 +232,48 @@ def _update_cents(
 
 
 _RawStep = tuple[list[tuple[int, int]], tuple[bool, ...], tuple[int, ...] | None]
+_Tie = tuple[int, int, tuple[int, int]]
 
 
-def _run_strict_raw(
-    xs: Sequence[int], seed_indices: Sequence[int], cap: int
-) -> tuple[list[_RawStep], Outcome | None, tuple | None]:
-    """Full-history strict run; returns (steps, outcome-kind marker, tie info)."""
+def _iterate(
+    xs: Sequence[int],
+    seed_indices: Sequence[int],
+    cap: int,
+    first: tuple[int, ...] | None = None,
+    history: list[_RawStep] | None = None,
+) -> tuple[str, tuple[int, ...] | None, bool, int, _Tie | None]:
+    """The one strict Lloyd loop, from the seeded centroids.
+
+    Returns (kind, final labels, empty rule used, steps, tie), where tie is
+    (step, 1-based point, (j, j+1)) when kind is "tie".  ``first``, if given,
+    is the partition the seeding's step-0 assignment produced, tie-free; the
+    run then resumes at step 1 exactly as the full run would continue.  When
+    ``history`` is a list, each step's (centroids, empty mask, labels) is
+    appended to it.
+    """
     cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
     empty: tuple[bool, ...] = (False,) * len(seed_indices)
-    steps: list[_RawStep] = []
-    prev: tuple[int, ...] | None = None
-    for step in range(cap):
-        labels, tie = _assign_labels(xs, cents)
-        if tie is not None:
-            steps.append((cents, empty, None))
-            return steps, None, (step, tie[0] + 1, (tie[1], tie[2]))
-        frozen = tuple(labels)
-        steps.append((cents, empty, frozen))
-        if frozen == prev:
-            return steps, Converged(Partition(frozen)), None
-        prev = frozen
-        cents, empty = _update_cents(xs, labels, cents)
-    return steps, IterationCapExceeded(cap), None
-
-
-def _run_lean_raw(
-    xs: Sequence[int], seed_indices: Sequence[int], cap: int
-) -> tuple[str, tuple[int, ...] | None, bool, int]:
-    """History-free strict run: (kind, final labels, empty-rule used, steps)."""
-    cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
     empty_seen = False
-    prev: tuple[int, ...] | None = None
-    for step in range(cap):
+    prev = first
+    if first is not None:
+        cents, empty = _update_cents(xs, first, cents)
+        empty_seen = any(empty)
+    for step in range(0 if first is None else 1, cap):
         labels, tie = _assign_labels(xs, cents)
         if tie is not None:
-            return "tie", None, empty_seen, step + 1
+            if history is not None:
+                history.append((cents, empty, None))
+            return "tie", None, empty_seen, step + 1, (step, tie[0] + 1, (tie[1], tie[2]))
         frozen = tuple(labels)
+        if history is not None:
+            history.append((cents, empty, frozen))
         if frozen == prev:
-            return "converged", frozen, empty_seen, step + 1
+            return "converged", frozen, empty_seen, step + 1, None
         prev = frozen
         cents, empty = _update_cents(xs, labels, cents)
         if not empty_seen and any(empty):
             empty_seen = True
-    return "cap-exceeded", None, empty_seen, cap
+    return "cap-exceeded", None, empty_seen, cap, None
 
 
 class LineEngine:
@@ -308,17 +307,28 @@ class LineEngine:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
-        steps, outcome, tie = _run_strict_raw(self._xs, seeding.indices, cap)
-        if tie is not None:
-            step_index, point, clusters = tie
-            outcome = TieEncountered(step_index, point, clusters)
-        assert outcome is not None
+        steps: list[_RawStep] = []
+        kind, final, _empty, _steps, tie = _iterate(self._xs, seeding.indices, cap, history=steps)
+        outcome: Outcome
+        if kind == "converged":
+            outcome = Converged(Partition(final))
+        elif tie is not None:
+            outcome = TieEncountered(*tie)
+        else:
+            outcome = IterationCapExceeded(cap)
         return self._materialize(seeding, steps, outcome)
 
     def run_lean(
-        self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
+        self,
+        seed_indices: tuple[int, ...],
+        cap: int = DEFAULT_CAP,
+        first: tuple[int, ...] | None = None,
     ) -> tuple[str, tuple[int, ...] | None, bool, int]:
-        return _run_lean_raw(self._xs, seed_indices, cap)
+        """History-free strict run: (kind, final labels, empty rule used, steps).
+
+        ``first`` is as for ``_iterate``: the seeding's tie-free step-0 partition.
+        """
+        return _iterate(self._xs, seed_indices, cap, first)[:4]
 
     def run_branch(
         self,
