@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -317,6 +318,26 @@ class LineEngine:
         else:
             outcome = IterationCapExceeded(cap)
         return self._materialize(seeding, steps, outcome)
+
+    def step0_cuts(self) -> list[list[int | None]]:
+        """Where a step-0 assignment splits the points, per pair of seeds.
+
+        ``cuts[i][j]`` for 1-based point indices i < j is how many points lie
+        strictly left of the midpoint of points i and j, or None when a point
+        lies exactly on it (a nearest-distance tie).  Seeded at i and j with
+        no seed between them, step 0 separates the two clusters there.
+        """
+        xs = self._xs
+        n = len(xs)
+        doubled = [2 * x for x in xs]
+        cuts: list[list[int | None]] = [[None] * (n + 1) for _ in range(n + 1)]
+        for i in range(1, n):
+            row = cuts[i]
+            for j in range(i + 1, n + 1):
+                mid = xs[i - 1] + xs[j - 1]
+                c = bisect_left(doubled, mid, i, j - 1)
+                row[j] = None if doubled[c] == mid else c
+        return cuts
 
     def run_lean(
         self,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?\Z")
 
@@ -189,6 +190,17 @@ def embed(cfg: DistanceConfig) -> PointSet:
     return PointSet(tuple(pos))
 
 
+def canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:
+    """Relabel blocks 0, 1, 2, ... in order of their leftmost member."""
+    mapping: dict[int, int] = {}
+    out = []
+    for label in labels:
+        if label not in mapping:
+            mapping[label] = len(mapping)
+        out.append(mapping[label])
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Cluster label per point.
@@ -210,13 +222,7 @@ class Partition:
             raise ValueError("cluster ids must be non-negative")
 
     def canonical_labels(self) -> tuple[int, ...]:
-        mapping: dict[int, int] = {}
-        out = []
-        for label in self.labels:
-            if label not in mapping:
-                mapping[label] = len(mapping)
-            out.append(mapping[label])
-        return tuple(out)
+        return canonical_labels(self.labels)
 
     def canonical(self) -> Partition:
         return Partition(self.canonical_labels())
@@ -354,6 +360,8 @@ def config_to_dict(cfg: DistanceConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> DistanceConfig:
+    if not all(isinstance(data.get(key, []), list) for key in ("a", "p")):
+        raise ConfigParseError("'a' and 'p' must be lists of rationals")
     try:
         a = tuple(parse_rational(str(x)) for x in data["a"])
         p = tuple(parse_rational(str(x)) for x in data["p"])

@@ -37,22 +37,6 @@ class RegionExhaustedError(RuntimeError):
     """Rejection sampling found nothing; the region is empty at this bound."""
 
 
-def _canon(labels: Sequence[int]) -> tuple[int, ...]:
-    mapping: dict[int, int] = {}
-    out = []
-    for label in labels:
-        v = mapping.get(label)
-        if v is None:
-            v = len(mapping)
-            mapping[label] = v
-        out.append(v)
-    return tuple(out)
-
-
-def _target_labels(k: int) -> tuple[int, ...]:
-    return tuple(i // 2 for i in range(2 * k))
-
-
 # --- exhaustive seeding enumeration -------------------------------------------
 
 
@@ -84,32 +68,52 @@ class SeedingSurvey:
 def survey_seedings(
     cfg: DistanceConfig, cap: int = DEFAULT_CAP, _engine: LineEngine | None = None
 ) -> SeedingSurvey:
-    """Run every seeding (lexicographic order) and tally where it lands."""
+    """Tally where every seeding lands, visiting them in lexicographic order.
+
+    Step 0 puts each point with its nearest seed, so a seeding's first
+    partition is the tuple of cuts between adjacent seeds, read from
+    ``LineEngine.step0_cuts``; a point on one of those midpoints ties the
+    seeding.  Seeds are distinct points, so no cluster is empty after step 0
+    and the first partition alone fixes the rest of the run, its step count
+    included.  The Lloyd loop therefore runs once per distinct first
+    partition, and seedings that share one share its outcome.
+    """
     engine = _engine or LineEngine(model.embed(cfg))
-    target = _target_labels(cfg.k)
-    n = 2 * cfg.k
+    k = cfg.k
+    n = 2 * k
+    target = model.target_partition(k).labels
+    cuts = engine.step0_cuts()
+    run_lean = engine.run_lean
+    # first partition's cuts -> "reached", "failed", "tie" or "cap-exceeded"
+    memo: dict[tuple[int, ...], str] = {}
     reached = failed = ties = caps = 0
     first_failing: Seeding | None = None
     tied: list[Seeding] = []
     empty_used = False
-    run_lean = engine.run_lean
-    for indices in combinations(range(1, n + 1), cfg.k):
-        kind, final, empty_seen, _steps = run_lean(indices, cap)
-        empty_used = empty_used or empty_seen
-        if kind == "converged":
-            if _canon(final) == target:
-                reached += 1
-            else:
-                failed += 1
-                if first_failing is None:
-                    first_failing = Seeding(indices)
-        elif kind == "tie":
+    for indices in combinations(range(1, n + 1), k):
+        key = tuple([cuts[i][j] for i, j in zip(indices, indices[1:])])
+        outcome = "tie" if None in key else memo.get(key)
+        if outcome is None:
+            bounds = (0, *key, n)
+            first = tuple(b for b in range(k) for _ in range(bounds[b], bounds[b + 1]))
+            kind, final, empty_seen, _steps = run_lean(indices, cap, first)
+            if kind == "converged":
+                kind = "reached" if model.canonical_labels(final) == target else "failed"
+            outcome = memo[key] = kind
+            empty_used = empty_used or empty_seen
+        if outcome == "reached":
+            reached += 1
+        elif outcome == "failed":
+            failed += 1
+            if first_failing is None:
+                first_failing = Seeding(indices)
+        elif outcome == "tie":
             ties += 1
             tied.append(Seeding(indices))
         else:
             caps += 1
     return SeedingSurvey(
-        total=comb(n, cfg.k),
+        total=comb(n, k),
         reached_count=reached,
         failed_count=failed,
         tie_count=ties,
@@ -388,39 +392,77 @@ def exists_failing_seeding(
     )
 
 
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed certificate: {what}")
+
+
+def _recorded_seeding(value, k: int, where: str) -> Seeding:
+    """A certificate's seeding: k distinct point indices in 1..2k."""
+    if not (
+        isinstance(value, list)
+        and len(value) == k
+        and all(type(i) is int and 1 <= i <= 2 * k for i in value)
+        and len(set(value)) == k
+    ):
+        raise _malformed(f"{where} seeding must be {k} distinct indices in 1..{2 * k}")
+    return Seeding(tuple(value))
+
+
 def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     """Independently re-run a certificate's recorded seedings.
 
     Returns a list of discrepancies (empty means the certificate checks out).
-    Raises ValueError when ``data`` is not an object holding a config object.
+    Raises ValueError when ``data`` is not shaped like a certificate: an
+    object holding a config object, a list of candidate objects, each with a
+    seeding, an outcome and, if any, final labels, and an oracle object or null.
     """
     if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
-        raise ValueError("malformed certificate: expected a JSON object with a 'config' object")
-    problems: list[str] = []
+        raise _malformed("expected a JSON object with a 'config' object")
     cfg = model.config_from_dict(data["config"])
+    k = cfg.k
+    candidates = data.get("candidates", [])
+    if not isinstance(candidates, list) or not all(isinstance(c, dict) for c in candidates):
+        raise _malformed("'candidates' must be a list of objects")
+    recorded_runs = []
+    for cand in candidates:
+        seeding = _recorded_seeding(cand.get("seeding"), k, "candidate")
+        if not isinstance(cand.get("outcome"), str):
+            raise _malformed(f"candidate {seeding} has no 'outcome' string")
+        labels = cand.get("final_labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(type(x) is int for x in labels)
+        ):
+            raise _malformed(f"candidate {seeding} 'final_labels' must be a list of integers")
+        recorded_runs.append((seeding, cand))
+    oracle = data.get("oracle")
+    if oracle is not None and not isinstance(oracle, dict):
+        raise _malformed("'oracle' must be an object or null")
+    witness = oracle.get("failing_seeding") if oracle else None
+    if witness:
+        witness = _recorded_seeding(witness, k, "oracle failing")
+
+    problems: list[str] = []
     engine = LineEngine(model.embed(cfg))
-    target = _target_labels(cfg.k)
+    target = model.target_partition(k).labels
     reached_flags: list[bool] = []
-    for cand in data.get("candidates", []):
-        seeding = Seeding(tuple(cand["seeding"]))
+    for seeding, cand in recorded_runs:
         kind, final, _empty, _steps = engine.run_lean(seeding.indices, cap)
         if kind != cand["outcome"]:
             problems.append(f"candidate {seeding}: outcome {kind} != recorded {cand['outcome']}")
             continue
         if kind == "converged":
+            final = model.canonical_labels(final)
             recorded = cand.get("final_labels")
-            if recorded is None or _canon(recorded) != _canon(final):
+            if recorded is None or model.canonical_labels(recorded) != final:
                 problems.append(f"candidate {seeding}: final partition differs from record")
-            reached = _canon(final) == target
+            reached = final == target
             if reached != cand.get("reached_target"):
                 problems.append(f"candidate {seeding}: reached_target flag is wrong")
             reached_flags.append(reached)
-    oracle = data.get("oracle")
-    if oracle and oracle.get("failing_seeding"):
-        seeding = Seeding(tuple(oracle["failing_seeding"]))
-        kind, final, _empty, _steps = engine.run_lean(seeding.indices, cap)
-        if kind != "converged" or _canon(final) == target:
-            problems.append(f"oracle witness {seeding} does not avoid the pairing partition")
+    if witness:
+        kind, final, _empty, _steps = engine.run_lean(witness.indices, cap)
+        if kind != "converged" or model.canonical_labels(final) == target:
+            problems.append(f"oracle witness {witness} does not avoid the pairing partition")
     semantics = data.get("semantics")
     verdict = data.get("verdict")
     if verdict in (VERDICT_HOLDS, VERDICT_VIOLATED) and reached_flags:

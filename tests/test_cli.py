@@ -7,6 +7,8 @@ import pytest
 
 from kmeans_richness.cli import main
 
+CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -53,6 +55,13 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", str(path))
         assert code == 0
         assert out.startswith("AA")
+
+    @pytest.mark.parametrize("text", ['{"a": 5, "p": []}', '{"a": ["1", "1"], "p": "2"}'])
+    def test_json_config_fields_not_lists(self, capsys, text):
+        code, out, err = run_cli(capsys, "classify", text)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
 
     def test_json_config_inline(self, capsys):
         text = '{"k": 4, "a": ["1","3","3","1"], "p": ["2","2","2"]}'
@@ -267,7 +276,20 @@ class TestCertifyCommand:
         assert code == 2
         assert "config" in err
 
-    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"config": []}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "[1, 2]",
+            '{"config": []}',
+            '{"config": %s, "candidates": "x"}' % CONFIG_AA,
+            '{"config": %s, "candidates": [{"seeding": [1, 2, 3, 4]}]}' % CONFIG_AA,
+            '{"config": %s, "candidates": [{"seeding": [1, 2, 3, 99], "outcome": "converged"}]}'
+            % CONFIG_AA,
+            '{"config": %s, "oracle": 5}' % CONFIG_AA,
+            '{"config": %s, "oracle": {"failing_seeding": 7}}' % CONFIG_AA,
+        ],
+    )
     def test_check_malformed_certificate(self, capsys, tmp_path, text):
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(text)
