@@ -257,8 +257,8 @@ def _iterate(
     empty_seen = False
     prev = first
     if first is not None:
+        # each step-0 cluster holds its own seed, so none is empty here
         cents, empty = _update_cents(xs, first, cents)
-        empty_seen = any(empty)
     for step in range(0 if first is None else 1, cap):
         labels, tie = _assign_labels(xs, cents)
         if tie is not None:

@@ -371,6 +371,8 @@ def config_from_dict(data: dict) -> DistanceConfig:
         raise ConfigParseError(str(exc)) from None
     cfg = DistanceConfig(a, p)
     declared = data.get("k")
+    if declared is not None and not isinstance(declared, (int, str)):
+        raise ConfigParseError("'k' must be an integer")
     if declared is not None and int(declared) != cfg.k:
         raise ConfigParseError(f"declared k={declared} but got {cfg.k} intra-pair distances")
     return cfg

@@ -423,17 +423,6 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     candidates = data.get("candidates", [])
     if not isinstance(candidates, list) or not all(isinstance(c, dict) for c in candidates):
         raise _malformed("'candidates' must be a list of objects")
-    recorded_runs = []
-    for cand in candidates:
-        seeding = _recorded_seeding(cand.get("seeding"), k, "candidate")
-        if not isinstance(cand.get("outcome"), str):
-            raise _malformed(f"candidate {seeding} has no 'outcome' string")
-        labels = cand.get("final_labels")
-        if labels is not None and not (
-            isinstance(labels, list) and all(type(x) is int for x in labels)
-        ):
-            raise _malformed(f"candidate {seeding} 'final_labels' must be a list of integers")
-        recorded_runs.append((seeding, cand))
     oracle = data.get("oracle")
     if oracle is not None and not isinstance(oracle, dict):
         raise _malformed("'oracle' must be an object or null")
@@ -445,14 +434,22 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     engine = LineEngine(model.embed(cfg))
     target = model.target_partition(k).labels
     reached_flags: list[bool] = []
-    for seeding, cand in recorded_runs:
+    for cand in candidates:
+        seeding = _recorded_seeding(cand.get("seeding"), k, "candidate")
+        recorded_kind = cand.get("outcome")
+        if not isinstance(recorded_kind, str):
+            raise _malformed(f"candidate {seeding} has no 'outcome' string")
+        recorded = cand.get("final_labels")
+        if recorded is not None and not (
+            isinstance(recorded, list) and all(type(x) is int for x in recorded)
+        ):
+            raise _malformed(f"candidate {seeding} 'final_labels' must be a list of integers")
         kind, final, _empty, _steps = engine.run_lean(seeding.indices, cap)
-        if kind != cand["outcome"]:
-            problems.append(f"candidate {seeding}: outcome {kind} != recorded {cand['outcome']}")
+        if kind != recorded_kind:
+            problems.append(f"candidate {seeding}: outcome {kind} != recorded {recorded_kind}")
             continue
         if kind == "converged":
             final = model.canonical_labels(final)
-            recorded = cand.get("final_labels")
             if recorded is None or model.canonical_labels(recorded) != final:
                 problems.append(f"candidate {seeding}: final partition differs from record")
             reached = final == target

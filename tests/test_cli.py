@@ -56,8 +56,15 @@ class TestClassifyCommand:
         assert code == 0
         assert out.startswith("AA")
 
-    @pytest.mark.parametrize("text", ['{"a": 5, "p": []}', '{"a": ["1", "1"], "p": "2"}'])
-    def test_json_config_fields_not_lists(self, capsys, text):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 5, "p": []}',
+            '{"a": ["1", "3", "3", "1"], "p": "222"}',
+            '{"k": [2], "a": ["1", "1"], "p": ["2"]}',
+        ],
+    )
+    def test_json_config_fields_malformed(self, capsys, text):
         code, out, err = run_cli(capsys, "classify", text)
         assert code == 2
         assert out == ""
