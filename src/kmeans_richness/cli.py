@@ -260,7 +260,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"check failed: {problem}", file=sys.stderr)
             return EXIT_VIOLATION
-        print("certificate checks out: recorded runs reproduce")
+        print("certificate checks out: every recorded claim reproduces")
         return EXIT_OK
     if not args.config:
         raise CliError("certify needs a config (or --check PATH)")

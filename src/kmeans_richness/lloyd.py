@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 from typing import Sequence
 
@@ -148,44 +148,58 @@ def _scaled_positions(positions: Sequence[Fraction]) -> tuple[tuple[int, ...], i
     return tuple(int(x * den) for x in positions), den
 
 
-def _boundaries(cents: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    bounds = []
-    for i in range(len(cents) - 1):
-        s1, c1 = cents[i]
-        s2, c2 = cents[i + 1]
+def _cuts(
+    xs: Sequence[int], cents: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[int, int, int] | None]:
+    """Nearest-centroid assignment as cuts: how many points lie left of each
+    adjacent-centroid midpoint.  On a midpoint hit the second value is
+    (point0, j, j+1) for the lowest tied boundary, which is also the first
+    tied point, since boundaries strictly increase."""
+    cuts = []
+    tie = None
+    s1, c1 = cents[0]
+    for j in range(1, len(cents)):
+        s2, c2 = cents[j]
         left = s1 * c2
         right = s2 * c1
         if left >= right:
             raise EngineInvariantError("centroids out of order")
-        bounds.append((left + right, 2 * c1 * c2))
-    return bounds
+        num = left + right
+        den = 2 * c1 * c2
+        cut = bisect_left(xs, -(-num // den))
+        if tie is None and cut < len(xs) and xs[cut] * den == num:
+            tie = (cut, j - 1, j)
+        cuts.append(cut)
+        s1, c1 = s2, c2
+    return tuple(cuts), tie
 
 
-def _assign_labels(
-    xs: Sequence[int], cents: Sequence[tuple[int, int]]
-) -> tuple[list[int], tuple[int, int, int] | None]:
-    """Nearest-centroid labels, or (point0, j, j+1) on the first midpoint hit."""
-    n = len(xs)
-    if len(cents) == 1:
-        return [0] * n, None
-    bounds = _boundaries(cents)
-    last = len(cents) - 1
-    labels = [0] * n
-    j = 0
-    num, den = bounds[0]
-    for i in range(n):
-        x = xs[i]
-        while j < last:
-            t = x * den
-            if t < num:
-                break
-            if t == num:
-                return labels, (i, j, j + 1)
-            j += 1
-            if j < last:
-                num, den = bounds[j]
-        labels[i] = j
-    return labels, None
+def _means(
+    prefix: Sequence[int], cuts: Sequence[int], prev: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], tuple[bool, ...]]:
+    """Block means as (sum, count) from prefix sums; an empty block keeps prev[j]."""
+    cents = []
+    empty = []
+    lo = 0
+    for j, hi in enumerate((*cuts, len(prefix) - 1)):
+        if hi > lo:
+            cents.append((prefix[hi] - prefix[lo], hi - lo))
+            empty.append(False)
+        else:
+            cents.append(prev[j])
+            empty.append(True)
+        lo = hi
+    return cents, tuple(empty)
+
+
+def _labels(cuts: Sequence[int], n: int) -> tuple[int, ...]:
+    """Per-point block ids of the partition with these cuts."""
+    labels = []
+    lo = 0
+    for j, hi in enumerate((*cuts, n)):
+        labels += [j] * (hi - lo)
+        lo = hi
+    return tuple(labels)
 
 
 def _choice_sets(xs: Sequence[int], cents: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -238,40 +252,36 @@ _Tie = tuple[int, int, tuple[int, int]]
 
 def _iterate(
     xs: Sequence[int],
+    prefix: Sequence[int],
     seed_indices: Sequence[int],
     cap: int,
-    first: tuple[int, ...] | None = None,
     history: list[_RawStep] | None = None,
 ) -> tuple[str, tuple[int, ...] | None, bool, int, _Tie | None]:
     """The one strict Lloyd loop, from the seeded centroids.
 
     Returns (kind, final labels, empty rule used, steps, tie), where tie is
-    (step, 1-based point, (j, j+1)) when kind is "tie".  ``first``, if given,
-    is the partition the seeding's step-0 assignment produced, tie-free; the
-    run then resumes at step 1 exactly as the full run would continue.  When
-    ``history`` is a list, each step's (centroids, empty mask, labels) is
-    appended to it.
+    (step, 1-based point, (j, j+1)) when kind is "tie".  Clusters on the line
+    stay contiguous, so each step's partition is its cut tuple; labels are
+    built only for ``history`` (when a list, each step's (centroids, empty
+    mask, labels) is appended to it) and for the final partition.
     """
+    n = len(xs)
     cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
     empty: tuple[bool, ...] = (False,) * len(seed_indices)
     empty_seen = False
-    prev = first
-    if first is not None:
-        # each step-0 cluster holds its own seed, so none is empty here
-        cents, empty = _update_cents(xs, first, cents)
-    for step in range(0 if first is None else 1, cap):
-        labels, tie = _assign_labels(xs, cents)
+    prev = None
+    for step in range(cap):
+        cuts, tie = _cuts(xs, cents)
         if tie is not None:
             if history is not None:
                 history.append((cents, empty, None))
             return "tie", None, empty_seen, step + 1, (step, tie[0] + 1, (tie[1], tie[2]))
-        frozen = tuple(labels)
         if history is not None:
-            history.append((cents, empty, frozen))
-        if frozen == prev:
-            return "converged", frozen, empty_seen, step + 1, None
-        prev = frozen
-        cents, empty = _update_cents(xs, labels, cents)
+            history.append((cents, empty, _labels(cuts, n)))
+        if cuts == prev:
+            return "converged", _labels(cuts, n), empty_seen, step + 1, None
+        prev = cuts
+        cents, empty = _means(prefix, cuts, cents)
         if not empty_seen and any(empty):
             empty_seen = True
     return "cap-exceeded", None, empty_seen, cap, None
@@ -283,6 +293,7 @@ class LineEngine:
     def __init__(self, points: PointSet):
         self.points = points
         self._xs, self._den = _scaled_positions(points.positions)
+        self._prefix = [0, *accumulate(self._xs)]
 
     def _check_seeding(self, seeding: Seeding) -> None:
         if seeding.indices[-1] > self.points.n:
@@ -309,7 +320,9 @@ class LineEngine:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
         steps: list[_RawStep] = []
-        kind, final, _empty, _steps, tie = _iterate(self._xs, seeding.indices, cap, history=steps)
+        kind, final, _empty, _steps, tie = _iterate(
+            self._xs, self._prefix, seeding.indices, cap, steps
+        )
         outcome: Outcome
         if kind == "converged":
             outcome = Converged(Partition(final))
@@ -340,16 +353,18 @@ class LineEngine:
         return cuts
 
     def run_lean(
-        self,
-        seed_indices: tuple[int, ...],
-        cap: int = DEFAULT_CAP,
-        first: tuple[int, ...] | None = None,
+        self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
     ) -> tuple[str, tuple[int, ...] | None, bool, int]:
-        """History-free strict run: (kind, final labels, empty rule used, steps).
+        """History-free strict run: (kind, final labels, empty rule used, steps)."""
+        return _iterate(self._xs, self._prefix, seed_indices, cap)[:4]
 
-        ``first`` is as for ``_iterate``: the seeding's tie-free step-0 partition.
+    def step(self, cuts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int, int] | None]:
+        """One Lloyd step from a partition with no empty block, given as cuts.
+
+        Returns the next partition's cuts and the tie, as ``_cuts`` does; with
+        no empty block the block means alone fix the centroids.
         """
-        return _iterate(self._xs, seed_indices, cap, first)[:4]
+        return _cuts(self._xs, _means(self._prefix, cuts, ())[0])
 
     def run_branch(
         self,
@@ -427,7 +442,8 @@ def assign(
     nearest-distance tie; branch mode returns every distinct labeling over
     all tie resolutions, lowest cluster id first.
     """
-    sets = _fraction_choice_sets(points.positions, centroids.values)
+    xs, cents, _den = _scaled(points, centroids)
+    sets = _choice_sets(xs, cents)
     if policy is TiePolicy.STRICT:
         labels = []
         for i, ids in enumerate(sets):
@@ -449,47 +465,24 @@ def assign(
     return tuple(out)
 
 
-def _fraction_choice_sets(
-    xs: Sequence[Fraction], cents: Sequence[Fraction]
-) -> list[list[int]]:
-    sets = []
-    for x in xs:
-        best: Fraction | None = None
-        ids: list[int] = []
-        for j, c in enumerate(cents):
-            d = abs(x - c)
-            if best is None or d < best:
-                best = d
-                ids = [j]
-            elif d == best:
-                ids.append(j)
-        sets.append(ids)
-    return sets
+def _scaled(
+    points: PointSet, centroids: Centroids
+) -> tuple[tuple[int, ...], list[tuple[int, int]], int]:
+    """Points and centroids on one integer scale: (xs, (s, 1) centroids, den)."""
+    xs, den = _scaled_positions(points.positions + centroids.values)
+    return xs[: points.n], [(x, 1) for x in xs[points.n :]], den
 
 
 def update(points: PointSet, partition: Partition, previous: Centroids) -> Centroids:
     """Exact mean per non-empty cluster; empty ones keep their value, flagged."""
-    k = previous.k
     labels = partition.labels
     if len(labels) != points.n:
         raise ValueError(f"partition covers {len(labels)} points, point set has {points.n}")
-    if any(label >= k for label in labels):
+    if any(label >= previous.k for label in labels):
         raise ValueError("partition labels exceed centroid count")
-    sums = [Fraction(0)] * k
-    counts = [0] * k
-    for x, label in zip(points.positions, labels):
-        sums[label] += x
-        counts[label] += 1
-    values = []
-    empty = []
-    for j in range(k):
-        if counts[j]:
-            values.append(sums[j] / counts[j])
-            empty.append(False)
-        else:
-            values.append(previous.values[j])
-            empty.append(True)
-    return Centroids(tuple(values), tuple(empty))
+    xs, prev, den = _scaled(points, previous)
+    cents, empty = _update_cents(xs, labels, prev)
+    return Centroids(tuple(Fraction(s, c * den) for s, c in cents), empty)
 
 
 def run(
@@ -524,12 +517,7 @@ def is_fixed_point(points: PointSet, partition: Partition) -> bool:
     if len(set(labels)) != k:
         raise ValueError("partition has empty blocks")
     xs, _den = _scaled_positions(points.positions)
-    sums = [0] * k
-    counts = [0] * k
-    for x, label in zip(xs, labels):
-        sums[label] += x
-        counts[label] += 1
-    cents = list(zip(sums, counts))
+    cents, _empty = _update_cents(xs, labels, [None] * k)  # no block is empty
     sets = _choice_sets(xs, cents)
     out = []
     for ids in sets:

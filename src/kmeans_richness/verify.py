@@ -70,54 +70,104 @@ def survey_seedings(
 ) -> SeedingSurvey:
     """Tally where every seeding lands, visiting them in lexicographic order.
 
-    Step 0 puts each point with its nearest seed, so a seeding's first
-    partition is the tuple of cuts between adjacent seeds, read from
-    ``LineEngine.step0_cuts``; a point on one of those midpoints ties the
-    seeding.  Seeds are distinct points, so no cluster is empty after step 0
-    and the first partition alone fixes the rest of the run, its step count
-    included.  The Lloyd loop therefore runs once per distinct first
-    partition, and seedings that share one share its outcome.
+    Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
+    number of points left of each block boundary).  A seeding's first
+    partition is the tuple of step-0 cuts between adjacent seeds
+    (``LineEngine.step0_cuts``).  The seedings are walked depth first, one
+    cut per seed, so seedings share their prefix's cuts, and a point on a
+    midpoint ties the whole subtree.
+
+    A partition with no empty block fixes the next centroids, so one Lloyd
+    step runs per distinct such partition: a memo maps its cuts to the
+    outcome ("reached", "failed" or "tie") and the depth, the number of
+    steps to a fixed point or a tie.  A seeding is "cap-exceeded" iff its
+    first partition's depth is at least ``cap``.  A chain that empties a
+    block goes on from a frozen centroid, so its seedings run from their
+    seeds instead, once per first partition; only those runs can set
+    ``empty_rule_used``.
     """
     engine = _engine or LineEngine(model.embed(cfg))
     k = cfg.k
     n = 2 * k
-    target = model.target_partition(k).labels
-    cuts = engine.step0_cuts()
-    run_lean = engine.run_lean
-    # first partition's cuts -> "reached", "failed", "tie" or "cap-exceeded"
-    memo: dict[tuple[int, ...], str] = {}
-    reached = failed = ties = caps = 0
+    target = tuple(range(2, n, 2))
+    # step-0 cuts as one-entry tuples; row 0 is "no seed yet" and adds no cut
+    rows = [[()] * (n + 1)] + [
+        [None if c is None else (c,) for c in row] for row in engine.step0_cuts()[1:]
+    ]
+    # cuts -> (outcome, depth); outcome None: the chain empties a block
+    memo: dict[tuple[int, ...], tuple[str | None, int]] = {}
+    # first partition's cuts -> the outcome of its seedings under cap
+    settled: dict[tuple[int, ...], str] = {}
+    counts = {"reached": 0, "failed": 0, "tie": 0, "cap-exceeded": 0}
     first_failing: Seeding | None = None
     tied: list[Seeding] = []
     empty_used = False
-    for indices in combinations(range(1, n + 1), k):
-        key = tuple([cuts[i][j] for i, j in zip(indices, indices[1:])])
-        outcome = "tie" if None in key else memo.get(key)
-        if outcome is None:
-            bounds = (0, *key, n)
-            first = tuple(b for b in range(k) for _ in range(bounds[b], bounds[b + 1]))
-            kind, final, empty_seen, _steps = run_lean(indices, cap, first)
-            if kind == "converged":
-                kind = "reached" if model.canonical_labels(final) == target else "failed"
-            outcome = memo[key] = kind
-            empty_used = empty_used or empty_seen
-        if outcome == "reached":
-            reached += 1
-        elif outcome == "failed":
-            failed += 1
-            if first_failing is None:
-                first_failing = Seeding(indices)
-        elif outcome == "tie":
-            ties += 1
-            tied.append(Seeding(indices))
+
+    def settle(first: tuple[int, ...], indices: tuple[int, ...]) -> str:
+        """Outcome of the seedings whose first partition is ``first``."""
+        nonlocal empty_used
+        key = first
+        chain = []  # stepped partitions, up to a memo hit, fixed point, tie or empty block
+        while key not in memo:
+            chain.append(key)
+            nxt, tie = engine.step(key)
+            if tie is not None:
+                entry = ("tie", 0)
+            elif nxt == key:
+                entry = ("reached" if key == target else "failed", 0)
+            elif len({0, *nxt, n}) <= k:  # a block is empty
+                entry = (None, 0)
+            else:
+                key = nxt
+                continue
+            break
         else:
-            caps += 1
+            entry = memo[key]
+        for key in reversed(chain):
+            entry = memo[key] = (entry[0], entry[1] + 1)
+        outcome, depth = memo[first]
+        if outcome is None:
+            outcome, final, empty_seen, _steps = engine.run_lean(indices, cap)
+            if outcome == "converged":  # labels of a final with k blocks are canonical
+                reached = final == model.target_partition(k).labels
+                outcome = "reached" if reached else "failed"
+            empty_used = empty_used or empty_seen
+        elif depth >= cap:
+            outcome = "cap-exceeded"
+        settled[first] = outcome
+        return outcome
+
+    def visit(seeds: tuple[int, ...], key: tuple[int, ...]) -> None:
+        nonlocal first_failing
+        i = seeds[-1] if seeds else 0
+        row = rows[i]
+        inner = len(seeds) + 1 < k
+        for j in range(i + 1, n - k + len(seeds) + 2):  # room for the seeds to come
+            cut = row[j]
+            if cut is None:
+                rest = combinations(range(j + 1, n + 1), k - len(seeds) - 1)
+                subtree = [Seeding((*seeds, j, *r)) for r in rest]
+                counts["tie"] += len(subtree)
+                tied.extend(subtree)
+            elif inner:
+                visit((*seeds, j), key + cut)
+            else:
+                first = key + cut
+                outcome = settled.get(first) or settle(first, (*seeds, j))
+                counts[outcome] += 1
+                if outcome == "failed" and first_failing is None:
+                    first_failing = Seeding((*seeds, j))
+                elif outcome == "tie":
+                    tied.append(Seeding((*seeds, j)))
+
+    visit((), ())
+    del visit  # it refers to itself; drop the cycle so the memo is freed now
     return SeedingSurvey(
         total=comb(n, k),
-        reached_count=reached,
-        failed_count=failed,
-        tie_count=ties,
-        cap_count=caps,
+        reached_count=counts["reached"],
+        failed_count=counts["failed"],
+        tie_count=counts["tie"],
+        cap_count=counts["cap-exceeded"],
         first_failing=first_failing,
         tied=tuple(tied),
         empty_rule_used=empty_used,
@@ -364,6 +414,16 @@ def check_plan(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> Certificate:
     return certify_config(cfg, oracle=False, cap=cap)
 
 
+def _label_text(cfg: DistanceConfig) -> str | None:
+    """The case label a certificate records: None below k=4 or on a classification tie."""
+    if cfg.k < 4:
+        return None
+    try:
+        return str(cases.classify(cfg))
+    except cases.ClassificationTieError:
+        return None
+
+
 def exists_failing_seeding(
     cfg: DistanceConfig, include_witness_trace: bool = False, cap: int = DEFAULT_CAP
 ) -> Certificate:
@@ -373,17 +433,11 @@ def exists_failing_seeding(
     """
     _require_valid(cfg)
     engine = LineEngine(model.embed(cfg))
-    label_text: str | None = None
-    if cfg.k >= 4:
-        try:
-            label_text = str(cases.classify(cfg))
-        except cases.ClassificationTieError:
-            label_text = None
     survey = survey_seedings(cfg, cap, _engine=engine)
     verdict = _oracle_verdict(survey)
     return Certificate(
         config=cfg,
-        label=label_text,
+        label=_label_text(cfg),
         semantics=SEMANTICS_ORACLE,
         candidates=(),
         verdict=verdict,
@@ -409,9 +463,12 @@ def _recorded_seeding(value, k: int, where: str) -> Seeding:
 
 
 def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
-    """Independently re-run a certificate's recorded seedings.
+    """Independently re-derive a certificate's claims.
 
-    Returns a list of discrepancies (empty means the certificate checks out).
+    Re-runs every candidate seeding (outcome, final partition, flags, trace
+    digest and any embedded trace), re-classifies the config for its label,
+    and re-runs the oracle survey, whose fields must all match.  Returns a
+    list of discrepancies (empty means the certificate checks out).
     Raises ValueError when ``data`` is not shaped like a certificate: an
     object holding a config object, a list of candidate objects, each with a
     seeding, an outcome and, if any, final labels, and an oracle object or null.
@@ -426,13 +483,15 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     oracle = data.get("oracle")
     if oracle is not None and not isinstance(oracle, dict):
         raise _malformed("'oracle' must be an object or null")
-    witness = oracle.get("failing_seeding") if oracle else None
-    if witness:
-        witness = _recorded_seeding(witness, k, "oracle failing")
+    if oracle and oracle.get("failing_seeding"):
+        _recorded_seeding(oracle["failing_seeding"], k, "oracle failing")
 
     problems: list[str] = []
     engine = LineEngine(model.embed(cfg))
     target = model.target_partition(k).labels
+    label = _label_text(cfg)
+    if data.get("label") != label:
+        problems.append(f"label {data.get('label')!r} != classified {label!r}")
     reached_flags: list[bool] = []
     for cand in candidates:
         seeding = _recorded_seeding(cand.get("seeding"), k, "candidate")
@@ -444,33 +503,44 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
             isinstance(recorded, list) and all(type(x) is int for x in recorded)
         ):
             raise _malformed(f"candidate {seeding} 'final_labels' must be a list of integers")
-        kind, final, _empty, _steps = engine.run_lean(seeding.indices, cap)
+        trace = engine.run_strict(seeding, cap)
+        kind = trace.outcome.kind
         if kind != recorded_kind:
             problems.append(f"candidate {seeding}: outcome {kind} != recorded {recorded_kind}")
             continue
-        if kind == "converged":
-            final = model.canonical_labels(final)
+        if cand.get("trace_digest") != lloyd.trace_digest(trace):
+            problems.append(f"candidate {seeding}: trace digest differs from a fresh run")
+        if "trace" in cand and cand["trace"] != lloyd.trace_to_dict(trace):
+            problems.append(f"candidate {seeding}: recorded trace differs from a fresh run")
+        if cand.get("empty_rule_used") != trace.used_empty_cluster_rule():
+            problems.append(f"candidate {seeding}: empty_rule_used flag is wrong")
+        if trace.final_partition is not None:
+            final = trace.final_partition.canonical_labels()
             if recorded is None or model.canonical_labels(recorded) != final:
                 problems.append(f"candidate {seeding}: final partition differs from record")
             reached = final == target
             if reached != cand.get("reached_target"):
                 problems.append(f"candidate {seeding}: reached_target flag is wrong")
             reached_flags.append(reached)
-    if witness:
-        kind, final, _empty, _steps = engine.run_lean(witness.indices, cap)
-        if kind != "converged" or model.canonical_labels(final) == target:
-            problems.append(f"oracle witness {witness} does not avoid the pairing partition")
+    survey = None
+    if oracle is not None:
+        survey = survey_seedings(cfg, cap, _engine=engine)
+        expected = _oracle_record(survey, engine, cap, "witness_trace" in oracle).to_dict()
+        for key in sorted(expected.keys() | oracle.keys()):
+            if oracle.get(key) != expected.get(key):
+                problems.append(f"oracle {key} differs from a fresh survey")
     semantics = data.get("semantics")
     verdict = data.get("verdict")
-    if verdict in (VERDICT_HOLDS, VERDICT_VIOLATED) and reached_flags:
+    expected = verdict
+    if semantics == SEMANTICS_ORACLE and survey is not None:
+        expected = _oracle_verdict(survey)
+    elif verdict in (VERDICT_HOLDS, VERDICT_VIOLATED) and reached_flags:
         if semantics == PlanSemantics.ALL_MUST_FAIL.value:
             expected = VERDICT_HOLDS if not any(reached_flags) else VERDICT_VIOLATED
         elif semantics == PlanSemantics.ANY_MUST_FAIL.value:
             expected = VERDICT_HOLDS if not all(reached_flags) else VERDICT_VIOLATED
-        else:
-            expected = verdict
-        if expected != verdict:
-            problems.append(f"verdict {verdict} inconsistent with candidate records ({expected})")
+    if expected != verdict:
+        problems.append(f"verdict {verdict} inconsistent with the re-derived runs ({expected})")
     return problems
 
 

@@ -274,6 +274,27 @@ class TestCertifyCommand:
         assert code == 1
         assert "check failed" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["oracle"].update(success_probability="1/2"),
+            lambda d: d["oracle"].update(reached_count=999),
+            lambda d: d["oracle"].update(empty_rule_used=True),
+            lambda d: d["candidates"][0].update(trace_digest="sha256:00"),
+            lambda d: d.update(label="AA"),
+        ],
+        ids=["probability", "reached_count", "empty_rule_used", "trace_digest", "label"],
+    )
+    def test_check_flags_edited_claims(self, capsys, tmp_path, edit):
+        cert_path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", "a=1,1,1,1; p=3,3,3", "--output", str(cert_path))
+        data = json.loads(cert_path.read_text())
+        edit(data)
+        cert_path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "certify", "--check", str(cert_path))
+        assert code == 1
+        assert "check failed" in err
+
     def test_unparseable_input(self, capsys):
         code, _, err = run_cli(capsys, "certify", "a=1,x; p=2")
         assert code == 2

@@ -1,5 +1,6 @@
 """Lloyd iteration: assignment, updates, traces, invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -313,6 +314,18 @@ class TestTraceInvariants:
                         assign(points, step.centroids)
                 else:
                     assert assign(points, step.centroids).labels == step.partition.labels
+
+
+    def test_engine_updates_match_public_update(self):
+        # frozen empty-cluster centroids included: this config empties clusters
+        points = embed(DistanceConfig((18, 9, 17, 1, 36, 31), (7, 42, 50, 24, 10)))
+        frozen = 0
+        for indices in itertools.combinations(range(1, 13), 6):
+            trace = run(points, Seeding(indices))
+            frozen += trace.used_empty_cluster_rule()
+            for step, after in zip(trace.steps, trace.steps[1:]):
+                assert update(points, step.partition, step.centroids) == after.centroids
+        assert frozen
 
 
 class TestSerialization:

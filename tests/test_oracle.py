@@ -1,12 +1,14 @@
 """The exhaustive oracle against the per-seeding loop it replaced.
 
-``survey_seedings`` runs the Lloyd loop once per distinct step-0 partition,
-found from a table of pairwise midpoint cuts.  The reference below runs every
-seeding from its seeds, in the same lexicographic order.  On every config and
-cap the two must agree in every ``SeedingSurvey`` field, ``first_failing``,
-``tied`` and ``empty_rule_used`` included.
+``survey_seedings`` walks the seedings by shared prefix over a table of
+step-0 midpoint cuts and runs one Lloyd step per distinct partition with no
+empty block, memoizing each partition's outcome and depth.  The reference
+below runs every seeding from its seeds, in the same lexicographic order.  On
+every config and cap the two must agree in every ``SeedingSurvey`` field,
+``first_failing``, ``tied`` and ``empty_rule_used`` included.
 """
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import lloyd
-from kmeans_richness.lloyd import DEFAULT_CAP, LineEngine, TieError
+from kmeans_richness.lloyd import DEFAULT_CAP, LineEngine
 from kmeans_richness.model import DistanceConfig, Partition, Seeding, embed, target_partition
 from kmeans_richness.verify import (
     RegionSpec,
@@ -130,25 +132,64 @@ def test_wide_entries_match_reference(cfg, cap):
     assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
 
 
+def _valid_configs(k, count, seed):
+    rng = random.Random(seed)
+    while count:
+        a = tuple(rng.randint(1, 50) for _ in range(k))
+        p = tuple(rng.randint(1, 50) for _ in range(k - 1))
+        if all(abs(a[j] - a[j + 1]) < 2 * p[j] for j in range(k - 1)):
+            count -= 1
+            yield DistanceConfig(a, p)
+
+
+@pytest.mark.parametrize("cfg", list(_valid_configs(8, 3, seed=8)))
+def test_k8_configs_match_reference(cfg):
+    assert survey_seedings(cfg) == reference_survey(cfg)
+
+
+@pytest.mark.parametrize(
+    "a, p",
+    [
+        ((22, 38, 19, 23, 9, 27), (27, 37, 42, 35, 24)),  # one run takes 9 steps
+        EMPTY_RULE_CONFIGS[0],
+    ],
+)
+def test_caps_around_the_longest_run_match_reference(a, p):
+    # a seeding is cap-exceeded iff its run needs more than cap steps; probe
+    # both sides of the longest run, and of the longest empty-rule run
+    cfg = DistanceConfig(a, p)
+    engine = LineEngine(embed(cfg))
+    runs = [engine.run_lean(ix) for ix in combinations(range(1, 2 * cfg.k + 1), cfg.k)]
+    longest = max(steps for _kind, _final, _empty, steps in runs)
+    caps = {longest - 1, longest, longest + 1}
+    empty_runs = [steps for _kind, _final, empty, steps in runs if empty]
+    if empty_runs:
+        caps |= {max(empty_runs) - 1, max(empty_runs), max(empty_runs) + 1}
+    for cap in sorted(caps):
+        expected = reference_survey(cfg, cap)
+        assert survey_seedings(cfg, cap) == expected
+        assert (expected.cap_count > 0) == (cap < longest)
+
+
 @pytest.mark.parametrize(
     "a, p", [((1, 1, 1, 1, 1), (3, 3, 3, 3)), ((3, 9, 2, 7, 4), (6, 8, 5, 9))]
 )
-def test_one_run_per_distinct_first_partition(a, p, monkeypatch):
+def test_one_step_per_distinct_partition(a, p, monkeypatch):
     cfg = DistanceConfig(a, p)
     points = embed(cfg)
-    firsts = set()
+    visited = set()
     for indices in combinations(range(1, 2 * cfg.k + 1), cfg.k):
-        try:
-            firsts.add(lloyd.assign(points, lloyd.seed_centroids(points, Seeding(indices))))
-        except TieError:
-            pass
-    runs = []
-    run_lean = LineEngine.run_lean
+        for step in lloyd.run(points, Seeding(indices)).steps:
+            if step.partition is not None and step.partition.block_count() == cfg.k:
+                visited.add(step.partition)
+    steps = []
+    step = LineEngine.step
 
-    def counted(self, *args):
-        runs.append(args)
-        return run_lean(self, *args)
+    def counted(self, cuts):
+        steps.append(cuts)
+        return step(self, cuts)
 
-    monkeypatch.setattr(LineEngine, "run_lean", counted)
-    survey_seedings(cfg)
-    assert len(runs) == len(firsts)
+    monkeypatch.setattr(LineEngine, "step", counted)
+    survey = survey_seedings(cfg)
+    assert not survey.empty_rule_used  # no run leaves the memo for a run from the seeds
+    assert len(steps) == len(set(steps)) == len(visited)

@@ -243,6 +243,44 @@ class TestCertifyConfig:
         assert recheck_certificate(data)
 
 
+# (path into the certificate, tampered value); every one must be reported
+TAMPERINGS = [
+    (("label",), "AA"),
+    (("verdict",), "plan-violated"),
+    (("oracle", "success_probability"), "1/2"),
+    (("oracle", "reached_count"), 999),
+    (("oracle", "failed_count"), 21),
+    (("oracle", "tie_count"), 13),
+    (("oracle", "cap_count"), 1),
+    (("oracle", "total"), 71),
+    (("oracle", "empty_rule_used"), True),
+    (("oracle", "failing_seeding"), [1, 2, 3, 5]),
+    (("oracle", "failing_seeding"), None),
+    (("oracle", "witness_trace", "seeding"), [1, 2, 3, 5]),
+    (("candidates", 0, "trace_digest"), "sha256:00"),
+    (("candidates", 0, "empty_rule_used"), True),
+    (("candidates", 0, "reached_target"), True),
+    (("candidates", 0, "final_labels"), [0, 0, 1, 1, 2, 2, 3, 3]),
+    (("candidates", 0, "outcome"), "tie"),
+    (("candidates", 0, "trace", "outcome", "final_labels"), [0, 0, 1, 1, 2, 2, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("path, value", TAMPERINGS, ids=lambda x: str(x))
+def test_recheck_catches_each_tampered_field(path, value):
+    # ADD: four candidate runs and an oracle section with a witness trace
+    data = json.loads(
+        certify_config(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), include_traces=True).to_json()
+    )
+    assert recheck_certificate(data) == []
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] != value
+    node[path[-1]] = value
+    assert recheck_certificate(data)
+
+
 class TestSampleConfig:
     def test_membership(self):
         rng = random.Random(36)
