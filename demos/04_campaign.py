@@ -8,6 +8,7 @@ plus one full certificate that is then independently re-validated.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from kmeans_richness import (
@@ -43,3 +44,4 @@ print(f"oracle witness: {cert.oracle.failing_seeding}, "
 problems = recheck_certificate(json.loads(cert_path.read_text()))
 print(f"independent re-check of {cert_path.name}: "
       + ("clean" if not problems else f"PROBLEMS {problems}"))
+sys.exit(1 if problems else 0)

@@ -221,8 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         regions = tuple(
             verify.RegionSpec(k=args.k, target=target, bound=args.bound) for target in targets
         )
-    if args.k < 4 and any(r.target != "all-valid" for r in regions):
-        raise CliError("labeled regions need k >= 4; use --regions all-valid below that")
     report = verify.campaign(
         regions,
         samples_per_region=args.samples,
@@ -332,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (  # ValueError includes ConfigParseError and NonPositiveDistanceError
-        CliError, ValueError, ArithmeticError, FileNotFoundError,
+        CliError, ValueError, ArithmeticError, OSError,
         cases.ClassificationTieError, lloyd.TieError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -366,12 +366,7 @@ class LineEngine:
         """
         return _cuts(self._xs, _means(self._prefix, cuts, ())[0])
 
-    def run_branch(
-        self,
-        seeding: Seeding,
-        cap: int = DEFAULT_CAP,
-        limit: int = DEFAULT_BRANCH_LIMIT,
-    ) -> tuple[LloydTrace, ...]:
+    def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
@@ -394,8 +389,8 @@ class LineEngine:
                 if combo in seen:
                     continue
                 seen.add(combo)
-                if len(results) >= limit:
-                    raise BranchLimitError(f"more than {limit} branch traces")
+                if len(results) >= DEFAULT_BRANCH_LIMIT:
+                    raise BranchLimitError(f"more than {DEFAULT_BRANCH_LIMIT} branch traces")
                 branch_steps = steps + [(cents, empty, combo)]
                 if combo == prev:
                     results.append(
@@ -490,7 +485,6 @@ def run(
     seeding: Seeding,
     policy: TiePolicy = TiePolicy.STRICT,
     cap: int = DEFAULT_CAP,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
 ) -> LloydTrace | tuple[LloydTrace, ...]:
     """Iterate assignment and update from the seeded centroids to a fixed point.
 
@@ -501,7 +495,7 @@ def run(
     engine = LineEngine(points)
     if policy is TiePolicy.STRICT:
         return engine.run_strict(seeding, cap)
-    return engine.run_branch(seeding, cap, branch_limit)
+    return engine.run_branch(seeding, cap)
 
 
 def is_fixed_point(points: PointSet, partition: Partition) -> bool:
@@ -571,9 +565,6 @@ def trace_to_dict(trace: LloydTrace) -> dict:
     }
 
 
-def trace_to_json(trace: LloydTrace) -> str:
-    return json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
-
-
 def trace_digest(trace: LloydTrace) -> str:
-    return "sha256:" + hashlib.sha256(trace_to_json(trace).encode()).hexdigest()
+    text = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()

@@ -31,6 +31,7 @@ VERDICT_SKIPPED = "skipped-tie"
 SEMANTICS_ORACLE = "oracle-only"
 
 DEFAULT_MAX_REJECTIONS = 10**6
+TIE_RETRIES = 50
 
 
 class RegionExhaustedError(RuntimeError):
@@ -174,21 +175,21 @@ def survey_seedings(
     )
 
 
-def success_probability(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> Fraction:
+def success_probability(cfg: DistanceConfig) -> Fraction:
     """Exact fraction of seedings whose run converges to the pairing partition."""
     _require_valid(cfg)
-    probability = survey_seedings(cfg, cap).probability
+    probability = survey_seedings(cfg).probability
     if probability is None:
         raise ArithmeticError("no seeding run settled; probability undefined")
     return probability
 
 
-def richness_violation(cfg: DistanceConfig, epsilon: Fraction, cap: int = DEFAULT_CAP) -> bool:
+def richness_violation(cfg: DistanceConfig, epsilon: Fraction) -> bool:
     """True iff the pairing partition is reached with probability <= 1 - epsilon."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-    return success_probability(cfg, cap) <= 1 - epsilon
+    return success_probability(cfg) <= 1 - epsilon
 
 
 # --- certificates ---------------------------------------------------------------
@@ -264,10 +265,6 @@ class Certificate:
     skip_reason: str | None
     oracle: OracleRecord | None
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == VERDICT_HOLDS
-
     def to_dict(self) -> dict:
         return {
             "config": model.config_to_dict(self.config),
@@ -283,12 +280,10 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _oracle_record(
-    survey: SeedingSurvey, engine: LineEngine, cap: int, include_trace: bool
-) -> OracleRecord:
+def _oracle_record(survey: SeedingSurvey, engine: LineEngine, include_trace: bool) -> OracleRecord:
     witness = None
     if include_trace and survey.first_failing is not None:
-        witness = engine.run_strict(survey.first_failing, cap)
+        witness = engine.run_strict(survey.first_failing)
     return OracleRecord(
         failing_seeding=survey.first_failing,
         reached_count=survey.reached_count,
@@ -302,41 +297,23 @@ def _oracle_record(
     )
 
 
-def _oracle_verdict(survey: SeedingSurvey) -> str:
-    if survey.first_failing is not None:
-        return VERDICT_HOLDS
-    if survey.reached_count and not survey.cap_count:
-        return VERDICT_VIOLATED
-    return VERDICT_SKIPPED
-
-
 def certify_config(
-    cfg: DistanceConfig,
-    *,
-    oracle: bool = True,
-    include_traces: bool = False,
-    cap: int = DEFAULT_CAP,
+    cfg: DistanceConfig, *, oracle: bool = True, include_traces: bool = False
 ) -> Certificate:
     """Classify, run the prescribed seedings, and (optionally) the oracle.
 
     The verdict follows the plan semantics; configurations without a
-    prescribed plan (UNCLASSIFIED, or k < 4) are judged by the oracle alone.
-    Any tie during a candidate run skips the certificate.
+    prescribed plan (UNCLASSIFIED, or k < 4) get ``exists_failing_seeding``'s
+    oracle-only certificate.  Any tie during a candidate run skips the
+    certificate.
     """
     _require_valid(cfg)
-    engine = LineEngine(model.embed(cfg))
-    target = model.target_partition(cfg.k)
-
-    label_text: str | None = None
     plan: cases.AdversarialPlan | None = None
-    semantics = SEMANTICS_ORACLE
     if cfg.k >= 4:
         try:
             plan = cases.adversarial_plan(cfg)
-            label_text = str(plan.label)
-            semantics = plan.semantics.value
         except cases.UnclassifiedConfigError:
-            label_text = cases.UNCLASSIFIED
+            pass
         except cases.ClassificationTieError as exc:
             return Certificate(
                 config=cfg,
@@ -347,60 +324,55 @@ def certify_config(
                 skip_reason=f"classification tie: {exc.description}",
                 oracle=None,
             )
+    if plan is None:
+        return exists_failing_seeding(cfg, include_traces)
 
+    engine = LineEngine(model.embed(cfg))
+    target = model.target_partition(cfg.k)
     candidates: list[CandidateRecord] = []
-    verdict: str | None = None
+    reached_flags: list[bool] = []
     skip_reason: str | None = None
-    if plan is not None:
-        reached_flags: list[bool] = []
-        for name, seeding in zip(plan.names, plan.candidates):
-            trace = engine.run_strict(seeding, cap)
-            final = trace.final_partition
-            reached = final == target if final is not None else False
-            candidates.append(
-                CandidateRecord(
-                    name=name,
-                    seeding=seeding,
-                    outcome_kind=trace.outcome.kind,
-                    final_labels=final.labels if final is not None else None,
-                    reached_target=reached,
-                    empty_rule_used=trace.used_empty_cluster_rule(),
-                    trace_digest=lloyd.trace_digest(trace),
-                    trace=trace if include_traces else None,
-                )
+    for name, seeding in zip(plan.names, plan.candidates):
+        trace = engine.run_strict(seeding)
+        final = trace.final_partition
+        reached = final == target if final is not None else False
+        candidates.append(
+            CandidateRecord(
+                name=name,
+                seeding=seeding,
+                outcome_kind=trace.outcome.kind,
+                final_labels=final.labels if final is not None else None,
+                reached_target=reached,
+                empty_rule_used=trace.used_empty_cluster_rule(),
+                trace_digest=lloyd.trace_digest(trace),
+                trace=trace if include_traces else None,
             )
-            if isinstance(trace.outcome, lloyd.TieEncountered):
-                if skip_reason is None:
-                    skip_reason = (
-                        f"tie during candidate {seeding}: point {trace.outcome.point_index}"
-                        f" between clusters {list(trace.outcome.clusters)}"
-                    )
-            elif isinstance(trace.outcome, lloyd.IterationCapExceeded):
-                if skip_reason is None:
-                    skip_reason = f"candidate {seeding} hit the iteration cap {cap}"
-            else:
-                reached_flags.append(reached)
-        if skip_reason is not None:
-            verdict = VERDICT_SKIPPED
-        elif plan.semantics is PlanSemantics.ALL_MUST_FAIL:
-            verdict = VERDICT_HOLDS if not any(reached_flags) else VERDICT_VIOLATED
-        else:
-            verdict = VERDICT_HOLDS if not all(reached_flags) else VERDICT_VIOLATED
+        )
+        outcome = trace.outcome
+        if isinstance(outcome, lloyd.Converged):
+            reached_flags.append(reached)
+        elif skip_reason is None and isinstance(outcome, lloyd.TieEncountered):
+            skip_reason = (
+                f"tie during candidate {seeding}: point {outcome.point_index}"
+                f" between clusters {list(outcome.clusters)}"
+            )
+        elif skip_reason is None:
+            skip_reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
+    if skip_reason is not None:
+        verdict = VERDICT_SKIPPED
+    elif plan.semantics is PlanSemantics.ALL_MUST_FAIL:
+        verdict = VERDICT_HOLDS if not any(reached_flags) else VERDICT_VIOLATED
+    else:
+        verdict = VERDICT_HOLDS if not all(reached_flags) else VERDICT_VIOLATED
 
     oracle_rec: OracleRecord | None = None
-    if verdict != VERDICT_SKIPPED and (oracle or plan is None):
-        survey = survey_seedings(cfg, cap, _engine=engine)
-        oracle_rec = _oracle_record(survey, engine, cap, include_traces)
-        if plan is None:
-            verdict = _oracle_verdict(survey)
-            if verdict == VERDICT_SKIPPED:
-                skip_reason = "oracle runs tied or hit the cap on every seeding"
-
-    assert verdict is not None
+    if oracle and verdict != VERDICT_SKIPPED:
+        survey = survey_seedings(cfg, _engine=engine)
+        oracle_rec = _oracle_record(survey, engine, include_traces)
     return Certificate(
         config=cfg,
-        label=label_text,
-        semantics=semantics,
+        label=str(plan.label),
+        semantics=plan.semantics.value,
         candidates=tuple(candidates),
         verdict=verdict,
         skip_reason=skip_reason,
@@ -408,41 +380,41 @@ def certify_config(
     )
 
 
-def check_plan(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> Certificate:
-    """Run only the case-prescribed seedings (the oracle stays off unless
-    the configuration has no plan)."""
-    return certify_config(cfg, oracle=False, cap=cap)
+def check_plan(cfg: DistanceConfig) -> Certificate:
+    """Run only the case-prescribed seedings; the oracle runs only if there is no plan."""
+    return certify_config(cfg, oracle=False)
 
 
-def _label_text(cfg: DistanceConfig) -> str | None:
-    """The case label a certificate records: None below k=4 or on a classification tie."""
-    if cfg.k < 4:
-        return None
-    try:
-        return str(cases.classify(cfg))
-    except cases.ClassificationTieError:
-        return None
-
-
-def exists_failing_seeding(
-    cfg: DistanceConfig, include_witness_trace: bool = False, cap: int = DEFAULT_CAP
-) -> Certificate:
+def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = False) -> Certificate:
     """Exhaustively search the C(2k, k) seedings for one avoiding the pairing.
 
-    The verdict is plan-violated only if every tie-free seeding reached it.
+    The verdict is plan-violated only if every tie-free seeding reached it;
+    the label is None below k=4 or on a classification tie.
     """
     _require_valid(cfg)
     engine = LineEngine(model.embed(cfg))
-    survey = survey_seedings(cfg, cap, _engine=engine)
-    verdict = _oracle_verdict(survey)
+    survey = survey_seedings(cfg, _engine=engine)
+    label = None
+    if cfg.k >= 4:
+        try:
+            label = str(cases.classify(cfg))
+        except cases.ClassificationTieError:
+            pass
+    skip_reason = None
+    if survey.first_failing is not None:
+        verdict = VERDICT_HOLDS
+    elif survey.reached_count and not survey.cap_count:
+        verdict = VERDICT_VIOLATED
+    else:
+        verdict, skip_reason = VERDICT_SKIPPED, "oracle runs tied or hit the cap on every seeding"
     return Certificate(
         config=cfg,
-        label=_label_text(cfg),
+        label=label,
         semantics=SEMANTICS_ORACLE,
         candidates=(),
         verdict=verdict,
-        skip_reason=None,
-        oracle=_oracle_record(survey, engine, cap, include_witness_trace),
+        skip_reason=skip_reason,
+        oracle=_oracle_record(survey, engine, include_witness_trace),
     )
 
 
@@ -462,13 +434,37 @@ def _recorded_seeding(value, k: int, where: str) -> Seeding:
     return Seeding(tuple(value))
 
 
-def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
-    """Independently re-derive a certificate's claims.
+def _diff(rebuilt, recorded, path: str, problems: list[str]) -> None:
+    """Append one line per path where ``recorded`` differs from ``rebuilt``.
 
-    Re-runs every candidate seeding (outcome, final partition, flags, trace
-    digest and any embedded trace), re-classifies the config for its label,
-    and re-runs the oracle survey, whose fields must all match.  Returns a
-    list of discrepancies (empty means the certificate checks out).
+    Leaves must match in type as well as value, so ``1`` is not ``true``.
+    """
+    if isinstance(rebuilt, dict) and isinstance(recorded, dict):
+        for key in sorted(rebuilt.keys() | recorded.keys(), key=str):
+            where = f"{path}.{key}" if path else str(key)
+            if key not in recorded:
+                problems.append(f"{where}: missing from the certificate")
+            elif key not in rebuilt:
+                problems.append(f"{where}: not part of a rebuilt certificate")
+            else:
+                _diff(rebuilt[key], recorded[key], where, problems)
+    elif isinstance(rebuilt, list) and isinstance(recorded, list) and len(rebuilt) == len(recorded):
+        for i, (expected, value) in enumerate(zip(rebuilt, recorded)):
+            _diff(expected, value, f"{path}[{i}]", problems)
+    elif type(rebuilt) is not type(recorded) or rebuilt != recorded:
+        problems.append(f"{path}: recorded {recorded!r:.60}, rebuilt {rebuilt!r:.60}")
+
+
+def recheck_certificate(data: dict) -> list[str]:
+    """Rebuild a certificate from its config and compare every field.
+
+    The rebuild uses the options the certificate shows: an oracle-only
+    certificate with no candidates and an oracle section comes from
+    ``exists_failing_seeding``, any other from ``certify_config`` with the
+    oracle on iff there is an oracle section; traces are on iff a candidate
+    has a ``trace`` or the oracle a ``witness_trace``.  Returns one line per
+    path where the two differ (empty means the certificate checks out);
+    ``config`` is the input, not a claim, so it is not compared.
     Raises ValueError when ``data`` is not shaped like a certificate: an
     object holding a config object, a list of candidate objects, each with a
     seeding, an outcome and, if any, final labels, and an oracle object or null.
@@ -476,7 +472,6 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
         raise _malformed("expected a JSON object with a 'config' object")
     cfg = model.config_from_dict(data["config"])
-    k = cfg.k
     candidates = data.get("candidates", [])
     if not isinstance(candidates, list) or not all(isinstance(c, dict) for c in candidates):
         raise _malformed("'candidates' must be a list of objects")
@@ -484,63 +479,25 @@ def recheck_certificate(data: dict, cap: int = DEFAULT_CAP) -> list[str]:
     if oracle is not None and not isinstance(oracle, dict):
         raise _malformed("'oracle' must be an object or null")
     if oracle and oracle.get("failing_seeding"):
-        _recorded_seeding(oracle["failing_seeding"], k, "oracle failing")
-
-    problems: list[str] = []
-    engine = LineEngine(model.embed(cfg))
-    target = model.target_partition(k).labels
-    label = _label_text(cfg)
-    if data.get("label") != label:
-        problems.append(f"label {data.get('label')!r} != classified {label!r}")
-    reached_flags: list[bool] = []
+        _recorded_seeding(oracle["failing_seeding"], cfg.k, "oracle failing")
     for cand in candidates:
-        seeding = _recorded_seeding(cand.get("seeding"), k, "candidate")
-        recorded_kind = cand.get("outcome")
-        if not isinstance(recorded_kind, str):
+        seeding = _recorded_seeding(cand.get("seeding"), cfg.k, "candidate")
+        if not isinstance(cand.get("outcome"), str):
             raise _malformed(f"candidate {seeding} has no 'outcome' string")
         recorded = cand.get("final_labels")
         if recorded is not None and not (
             isinstance(recorded, list) and all(type(x) is int for x in recorded)
         ):
             raise _malformed(f"candidate {seeding} 'final_labels' must be a list of integers")
-        trace = engine.run_strict(seeding, cap)
-        kind = trace.outcome.kind
-        if kind != recorded_kind:
-            problems.append(f"candidate {seeding}: outcome {kind} != recorded {recorded_kind}")
-            continue
-        if cand.get("trace_digest") != lloyd.trace_digest(trace):
-            problems.append(f"candidate {seeding}: trace digest differs from a fresh run")
-        if "trace" in cand and cand["trace"] != lloyd.trace_to_dict(trace):
-            problems.append(f"candidate {seeding}: recorded trace differs from a fresh run")
-        if cand.get("empty_rule_used") != trace.used_empty_cluster_rule():
-            problems.append(f"candidate {seeding}: empty_rule_used flag is wrong")
-        if trace.final_partition is not None:
-            final = trace.final_partition.canonical_labels()
-            if recorded is None or model.canonical_labels(recorded) != final:
-                problems.append(f"candidate {seeding}: final partition differs from record")
-            reached = final == target
-            if reached != cand.get("reached_target"):
-                problems.append(f"candidate {seeding}: reached_target flag is wrong")
-            reached_flags.append(reached)
-    survey = None
-    if oracle is not None:
-        survey = survey_seedings(cfg, cap, _engine=engine)
-        expected = _oracle_record(survey, engine, cap, "witness_trace" in oracle).to_dict()
-        for key in sorted(expected.keys() | oracle.keys()):
-            if oracle.get(key) != expected.get(key):
-                problems.append(f"oracle {key} differs from a fresh survey")
-    semantics = data.get("semantics")
-    verdict = data.get("verdict")
-    expected = verdict
-    if semantics == SEMANTICS_ORACLE and survey is not None:
-        expected = _oracle_verdict(survey)
-    elif verdict in (VERDICT_HOLDS, VERDICT_VIOLATED) and reached_flags:
-        if semantics == PlanSemantics.ALL_MUST_FAIL.value:
-            expected = VERDICT_HOLDS if not any(reached_flags) else VERDICT_VIOLATED
-        elif semantics == PlanSemantics.ANY_MUST_FAIL.value:
-            expected = VERDICT_HOLDS if not all(reached_flags) else VERDICT_VIOLATED
-    if expected != verdict:
-        problems.append(f"verdict {verdict} inconsistent with the re-derived runs ({expected})")
+
+    traced = any("trace" in c for c in candidates) or "witness_trace" in (oracle or {})
+    if data.get("semantics") == SEMANTICS_ORACLE and not candidates and oracle is not None:
+        rebuilt = exists_failing_seeding(cfg, traced)
+    else:
+        rebuilt = certify_config(cfg, oracle=oracle is not None, include_traces=traced)
+    expected = {**rebuilt.to_dict(), "config": data["config"]}  # the input, not a claim
+    problems: list[str] = []
+    _diff(expected, data, "", problems)
     return problems
 
 
@@ -566,9 +523,12 @@ class RegionSpec:
         if self.denominator < 1:
             raise ValueError("denominator must be >= 1")
         if self.target != "all-valid":
-            CaseLabel.parse(self.target)  # fail fast on bad label syntax
+            label = CaseLabel.parse(self.target)  # fail fast on bad label syntax
             if self.k < 4:
                 raise ValueError(f"labeled regions need k >= 4, got k={self.k}")
+            targets = _region_targets(self.k)
+            if str(CaseLabel(label.tag, label.mirrored)) not in targets:
+                raise ValueError(f"no k={self.k} region {self.target}; use {', '.join(targets)}")
 
     @property
     def name(self) -> str:
@@ -708,16 +668,14 @@ def campaign(
     rng_seed: int,
     *,
     oracle: bool = True,
-    cap: int = DEFAULT_CAP,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
-    tie_retries: int = 50,
-    include_violation_traces: bool = True,
 ) -> Report:
     """Sample and certify ``samples_per_region`` configs per region.
 
     A skipped (tied) attempt is counted and the slot resampled from its own
-    derived stream, so each region contributes its full quota of decided
-    certificates.  Region exhaustion is recorded without aborting the rest.
+    derived stream, up to ``TIE_RETRIES`` attempts, so each region contributes
+    its full quota of decided certificates; a violation is certified again
+    with traces.  Region exhaustion is recorded without aborting the rest.
     Deterministic for a fixed (regions, samples, seed): each (region, slot,
     attempt) triple derives an independent RNG stream.
     """
@@ -729,14 +687,14 @@ def campaign(
         violations: list[Certificate] = []
         for slot in range(samples_per_region):
             decided = False
-            for attempt in range(tie_retries):
+            for attempt in range(TIE_RETRIES):
                 rng = _derived_rng(rng_seed, region_index, slot, attempt)
                 try:
                     cfg = sample_config(spec, rng, max_rejections)
                 except RegionExhaustedError as exc:
                     result.error = str(exc)
                     break
-                cert = certify_config(cfg, oracle=oracle, cap=cap)
+                cert = certify_config(cfg, oracle=oracle)
                 result.samples += 1
                 if cert.verdict == VERDICT_SKIPPED:
                     result.ties_skipped += 1
@@ -744,8 +702,7 @@ def campaign(
                 if cert.verdict == VERDICT_HOLDS:
                     result.holds += 1
                 else:
-                    if include_violation_traces:
-                        cert = certify_config(cfg, oracle=oracle, include_traces=True, cap=cap)
+                    cert = certify_config(cfg, oracle=oracle, include_traces=True)
                     violations.append(cert)
                 if cert.oracle is not None:
                     result.oracle_samples += 1
@@ -769,15 +726,19 @@ def campaign(
     return Report(rng_seed, samples_per_region, oracle, tuple(results))
 
 
-def default_regions(k: int, bound: int = 50) -> tuple[RegionSpec, ...]:
-    """Every case region defined at this k (plus mirrored end variants)."""
+def _region_targets(k: int) -> tuple[str, ...]:
+    """Every label the classifier returns at this k, without params (plus
+    mirrored end variants); "all-valid" below k=4."""
     if k == 4:
-        targets = [
+        return (
             "AA", "AA~", "AB", "AB~", "ACA", "ACA~", "ACB", "ACB~",
             "ADA", "ADB", "ADCA", "ADCB", "ADD",
-        ]
-    elif k > 4:
-        targets = ["BA", "BB", "BC", "BC~", "BD", "BE", "UNCLASSIFIED"]
-    else:
-        targets = ["all-valid"]
-    return tuple(RegionSpec(k=k, target=t, bound=bound) for t in targets)
+        )
+    if k > 4:
+        return ("BA", "BB", "BC", "BC~", "BD", "BE", "UNCLASSIFIED")
+    return ("all-valid",)
+
+
+def default_regions(k: int, bound: int = 50) -> tuple[RegionSpec, ...]:
+    """Every case region defined at this k (plus mirrored end variants)."""
+    return tuple(RegionSpec(k=k, target=t, bound=bound) for t in _region_targets(k))

@@ -216,6 +216,26 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_label_never_returned_at_k_rejected(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--k", "5", "--regions", "AA", "--samples", "1",
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--k", "4", "--regions", "AA", "--samples", "1",
+            "--output", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KMEANS_RICHNESS_OUTDIR", str(tmp_path))
         code, _, _ = run_cli(
@@ -282,8 +302,16 @@ class TestCertifyCommand:
             lambda d: d["oracle"].update(empty_rule_used=True),
             lambda d: d["candidates"][0].update(trace_digest="sha256:00"),
             lambda d: d.update(label="AA"),
+            lambda d: d.update(semantics="oracle-only"),
+            lambda d: d.update(candidates=d["candidates"][:1]),
+            lambda d: d["candidates"][1].update(name="S9"),
+            lambda d: d.update(skip_reason="edited"),
+            lambda d: d["candidates"][0].pop("trace"),
         ],
-        ids=["probability", "reached_count", "empty_rule_used", "trace_digest", "label"],
+        ids=[
+            "probability", "reached_count", "empty_rule_used", "trace_digest", "label",
+            "semantics", "first_candidate_only", "candidate_name", "skip_reason", "trace_removed",
+        ],
     )
     def test_check_flags_edited_claims(self, capsys, tmp_path, edit):
         cert_path = tmp_path / "cert.json"
@@ -294,6 +322,12 @@ class TestCertifyCommand:
         code, _, err = run_cli(capsys, "certify", "--check", str(cert_path))
         assert code == 1
         assert "check failed" in err
+
+    def test_check_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "certify", "--check", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unparseable_input(self, capsys):
         code, _, err = run_cli(capsys, "certify", "a=1,x; p=2")

@@ -219,13 +219,22 @@ class TestCertifyConfig:
         assert all(isinstance(c.empty_rule_used, bool) for c in cert.candidates)
 
     def test_recheck_passes_on_own_output(self):
-        for cfg in (
-            DistanceConfig((1, 1, 1, 1), (3, 3, 3)),
-            DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2)),  # UNCLASSIFIED, oracle-only
-            DistanceConfig((1, 1), (10,)),  # no plan below k=4
+        add = DistanceConfig((1, 1, 1, 1), (3, 3, 3))
+
+        def traced(cfg):
+            return certify_config(cfg, include_traces=True)
+
+        for build, cfg in (
+            (traced, add),
+            (traced, DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2))),  # UNCLASSIFIED, oracle-only
+            (traced, DistanceConfig((1, 1), (10,))),  # no plan below k=4
+            (check_plan, add),
+            (exists_failing_seeding, add),  # oracle-only, though the config has a plan
+            (certify_config, add),  # no traces
+            (traced, DistanceConfig((2, 2, 3, 1), (2, 2, 2))),  # classification tie
+            (traced, DistanceConfig((2, 2, 1, 1), (1, 1, 1))),  # tie during candidate {1,3,5,7}
         ):
-            cert = certify_config(cfg, include_traces=True)
-            data = json.loads(cert.to_json())
+            data = json.loads(build(cfg).to_json())
             assert recheck_certificate(data) == []
 
     def test_recheck_catches_tampering(self):
@@ -263,12 +272,22 @@ TAMPERINGS = [
     (("candidates", 0, "final_labels"), [0, 0, 1, 1, 2, 2, 3, 3]),
     (("candidates", 0, "outcome"), "tie"),
     (("candidates", 0, "trace", "outcome", "final_labels"), [0, 0, 1, 1, 2, 2, 3, 3]),
+    (("semantics",), "oracle-only"),
+    pytest.param(("candidates",), lambda cands: cands[:1], id="('candidates',)-first-only"),
+    (("candidates", 0, "name"), "S9"),
+    (("skip_reason",), "tie during candidate {2,5,7,8}"),
+    pytest.param(
+        ("candidates", 0),
+        lambda cand: {key: value for key, value in cand.items() if key != "trace"},
+        id="('candidates', 0)-trace-removed",
+    ),
 ]
 
 
 @pytest.mark.parametrize("path, value", TAMPERINGS, ids=lambda x: str(x))
 def test_recheck_catches_each_tampered_field(path, value):
-    # ADD: four candidate runs and an oracle section with a witness trace
+    # ADD: four candidate runs and an oracle section with a witness trace.
+    # A callable value computes the tampered value from the recorded one.
     data = json.loads(
         certify_config(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), include_traces=True).to_json()
     )
@@ -276,6 +295,7 @@ def test_recheck_catches_each_tampered_field(path, value):
     node = data
     for key in path[:-1]:
         node = node[key]
+    value = value(node[path[-1]]) if callable(value) else value
     assert node[path[-1]] != value
     node[path[-1]] = value
     assert recheck_certificate(data)
@@ -307,6 +327,11 @@ class TestSampleConfig:
     def test_labeled_region_needs_k4(self):
         with pytest.raises(ValueError):
             RegionSpec(k=3, target="AA")
+
+    @pytest.mark.parametrize("k, target", [(5, "AA"), (4, "BA"), (4, "ADA~"), (6, "BD~")])
+    def test_label_the_classifier_never_returns_rejected(self, k, target):
+        with pytest.raises(ValueError, match="no k="):
+            RegionSpec(k=k, target=target)
 
     def test_denominator_scales_entries(self):
         rng = random.Random(39)
