@@ -51,11 +51,7 @@ from .cases import (
     PlanSemantics,
     UnclassifiedConfigError,
     adversarial_plan,
-    adversarial_plan4,
-    adversarial_plan_k,
     classify,
-    classify4,
-    classify_k,
 )
 from .verify import (
     Certificate,

@@ -115,6 +115,10 @@ _MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}
 
 
 def _label4(a, p) -> CaseLabel:
+    """k=4.  Precedence: the left end triple (a1, p12, a2) first; if it is a
+    peak, the right end triple (a4, p34, a3) with the mirrored flag; if both
+    ends are peaks, the middle triple (a2, p23, a3) decides between ADA, ADB
+    (its mirror image), the ADC threshold split, and ADD."""
     a1, a2, a3, a4 = a
     p12, p23, p34 = p
     shape = _shape(a1, p12, a2, _LEFT_END)
@@ -127,6 +131,11 @@ def _label4(a, p) -> CaseLabel:
 
 
 def _label_k(a, p) -> CaseLabel:
+    """k>4.  Precedence: BA/BB on the first gap; the smallest ascending gap
+    (BC(m)); the smallest ascending gap of the mirrored configuration (BC(m)
+    mirrored); all-pits (BD(i), i the unique longest intra-pair distance);
+    all-peaks (BE); otherwise UNCLASSIFIED (mixed pits and peaks with no
+    monotone gap, which the case analysis does not cover)."""
     k = len(a)
     gaps = range(k - 1)
     for m in gaps:
@@ -166,20 +175,6 @@ def label_of(a, p) -> CaseLabel:
     return _label4(a, p) if len(a) == 4 else _label_k(a, p)
 
 
-def classify4(cfg: DistanceConfig) -> CaseLabel:
-    """Classify a valid k=4 configuration into its case region.
-
-    Precedence: the left end triple (a1, p12, a2) first; if it is a peak,
-    the right end triple (a4, p34, a3) with the mirrored flag; if both ends
-    are peaks, the middle triple (a2, p23, a3) decides between ADA, ADB
-    (its mirror image), the ADC threshold split, and ADD.
-    """
-    if cfg.k != 4:
-        raise ValueError(f"classify4 needs k=4, got k={cfg.k}")
-    _require_valid(cfg)
-    return label_of(cfg.a, cfg.p)
-
-
 _SEEDS4 = {
     "AA": (2, 4, 5, 7),
     "AB": (1, 3, 5, 7),
@@ -201,9 +196,8 @@ PAIRING_BREAKERS = (
 )
 
 
-def adversarial_plan4(cfg: DistanceConfig) -> AdversarialPlan:
-    """The prescribed seeding(s) for a valid k=4 configuration."""
-    label = classify4(cfg)
+def _adversarial_plan4(label: CaseLabel) -> AdversarialPlan:
+    """The prescribed seeding(s) for a k=4 label."""
     if label.tag == "ADD":
         return AdversarialPlan(
             label,
@@ -217,21 +211,6 @@ def adversarial_plan4(cfg: DistanceConfig) -> AdversarialPlan:
     return AdversarialPlan(label, (seeding,), (None,), PlanSemantics.ALL_MUST_FAIL)
 
 
-def classify_k(cfg: DistanceConfig) -> CaseLabel:
-    """Classify a valid k>4 configuration.
-
-    Precedence: BA/BB on the first gap; the smallest ascending gap (BC(m));
-    the smallest ascending gap of the mirrored configuration (BC(m)
-    mirrored); all-pits (BD(i), i the unique longest intra-pair distance);
-    all-peaks (BE); otherwise UNCLASSIFIED (mixed pits and peaks with no
-    monotone gap, which the case analysis does not cover).
-    """
-    if cfg.k <= 4:
-        raise ValueError(f"classify_k needs k>4, got k={cfg.k}")
-    _require_valid(cfg)
-    return label_of(cfg.a, cfg.p)
-
-
 def _bc_seeding(m: int, k: int) -> Seeding:
     indices = tuple(2 * j for j in range(1, m + 1))
     indices += (2 * m + 2,)
@@ -239,10 +218,8 @@ def _bc_seeding(m: int, k: int) -> Seeding:
     return Seeding(indices)
 
 
-def adversarial_plan_k(cfg: DistanceConfig) -> AdversarialPlan:
-    """The prescribed seeding(s) for a valid k>4 configuration."""
-    label = classify_k(cfg)
-    k = cfg.k
+def _adversarial_plan_k(label: CaseLabel, k: int) -> AdversarialPlan:
+    """The prescribed seeding(s) for a label at k>4."""
     if label.tag == UNCLASSIFIED:
         raise UnclassifiedConfigError(
             "mixed pit/peak configuration with no monotone gap; fall back to exhaustive search"
@@ -281,8 +258,9 @@ def classify(cfg: DistanceConfig) -> CaseLabel:
 
 
 def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:
-    if cfg.k == 4:
-        return adversarial_plan4(cfg)
-    if cfg.k > 4:
-        return adversarial_plan_k(cfg)
-    raise ValueError(f"no case analysis for k={cfg.k}")
+    """The prescribed seeding(s) for a valid configuration's case."""
+    if cfg.k < 4:
+        raise ValueError(f"no case analysis for k={cfg.k}")
+    _require_valid(cfg)
+    label = label_of(cfg.a, cfg.p)
+    return _adversarial_plan4(label) if cfg.k == 4 else _adversarial_plan_k(label, cfg.k)

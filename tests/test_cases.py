@@ -11,11 +11,7 @@ from kmeans_richness.cases import (
     PlanSemantics,
     UnclassifiedConfigError,
     adversarial_plan,
-    adversarial_plan4,
-    adversarial_plan_k,
     classify,
-    classify4,
-    classify_k,
 )
 from kmeans_richness.model import DistanceConfig, Seeding, mirror, mirror_seeding, validate
 
@@ -55,48 +51,44 @@ class TestCaseLabel:
 
 class TestClassify4:
     def test_ascending_left_end(self):
-        assert str(classify4(cfg4((1, 3, 3, 1), (2, 2, 2)))) == "AA"
+        assert str(classify(cfg4((1, 3, 3, 1), (2, 2, 2)))) == "AA"
 
     def test_descending_left_end(self):
-        assert str(classify4(cfg4((3, 1, 1, 1), (2, 2, 2)))) == "AB"
+        assert str(classify(cfg4((3, 1, 1, 1), (2, 2, 2)))) == "AB"
 
     def test_pit_left_end_above_threshold(self):
         # 3 > 1 < 4 with 3 > (2*1+4)/3 = 2
-        assert str(classify4(cfg4((3, 4, 1, 1), (1, 9, 9)))) == "ACB"
+        assert str(classify(cfg4((3, 4, 1, 1), (1, 9, 9)))) == "ACB"
 
     def test_pit_left_end_below_threshold(self):
         # 5 > 4 < 8 with 5 < (2*4+8)/3 = 16/3
-        assert str(classify4(cfg4((5, 8, 8, 5), (4, 9, 4)))) == "ACA"
+        assert str(classify(cfg4((5, 8, 8, 5), (4, 9, 4)))) == "ACA"
 
     def test_all_peaks(self):
-        assert str(classify4(cfg4((1, 1, 1, 1), (3, 3, 3)))) == "ADD"
+        assert str(classify(cfg4((1, 1, 1, 1), (3, 3, 3)))) == "ADD"
 
     def test_mirrored_right_end(self):
         # left end is a peak, right end ascending (a4 < p34 < a3)
-        assert str(classify4(cfg4((1, 2, 5, 1), (4, 9, 3)))) == "AA~"
+        assert str(classify(cfg4((1, 2, 5, 1), (4, 9, 3)))) == "AA~"
 
     def test_middle_cases(self):
-        assert str(classify4(cfg4((1, 2, 5, 1), (4, 3, 9)))) == "ADA"
-        assert str(classify4(cfg4((1, 5, 2, 1), (9, 3, 4)))) == "ADB"
-        assert str(classify4(cfg4((1, 5, 4, 1), (9, 2, 9)))) == "ADCA"  # 5 > (4+4)/3
-        assert str(classify4(cfg4((1, 6, 9, 2), (8, 5, 12)))) == "ADCB"  # 6 < (10+9)/3
+        assert str(classify(cfg4((1, 2, 5, 1), (4, 3, 9)))) == "ADA"
+        assert str(classify(cfg4((1, 5, 2, 1), (9, 3, 4)))) == "ADB"
+        assert str(classify(cfg4((1, 5, 4, 1), (9, 2, 9)))) == "ADCA"  # 5 > (4+4)/3
+        assert str(classify(cfg4((1, 6, 9, 2), (8, 5, 12)))) == "ADCB"  # 6 < (10+9)/3
 
     def test_tie_in_predicate(self):
         with pytest.raises(ClassificationTieError):
-            classify4(cfg4((2, 2, 3, 1), (2, 2, 2)))  # a1 == p12
+            classify(cfg4((2, 2, 3, 1), (2, 2, 2)))  # a1 == p12
 
     def test_threshold_tie(self):
         # pit left end with a1 == (2*p12 + a2)/3 exactly: a=(3,5,...), p12=2
         with pytest.raises(ClassificationTieError):
-            classify4(cfg4((3, 5, 5, 3), (2, 9, 9)))
+            classify(cfg4((3, 5, 5, 3), (2, 9, 9)))
 
     def test_requires_validity(self):
         with pytest.raises(ValueError):
-            classify4(cfg4((5, 1, 1, 1), (1, 1, 1)))
-
-    def test_requires_k4(self):
-        with pytest.raises(ValueError):
-            classify4(DistanceConfig((1, 3), (2,)))
+            classify(cfg4((5, 1, 1, 1), (1, 1, 1)))
 
     def test_every_valid_tie_free_config_is_classified(self):
         rng = random.Random(21)
@@ -104,7 +96,7 @@ class TestClassify4:
         for _ in range(2000):
             cfg = sample_valid(rng, 4)
             try:
-                label = classify4(cfg)
+                label = classify(cfg)
             except ClassificationTieError:
                 continue
             assert label.tag != UNCLASSIFIED
@@ -120,7 +112,7 @@ class TestClassify4:
         for _ in range(800):
             cfg = sample_valid(rng, 4)
             try:
-                label = classify4(cfg)
+                label = classify(cfg)
             except ClassificationTieError:
                 continue
             if label.tag not in ("AA", "AB", "ACA", "ACB"):
@@ -129,15 +121,15 @@ class TestClassify4:
             p12, _p23, p34 = cfg.p
             if not label.mirrored and not (a4 < p34 > a3):
                 continue  # right end matches too; precedence wins on both sides
-            flipped = classify4(mirror(cfg))
+            flipped = classify(mirror(cfg))
             assert flipped.tag == label.tag
             assert flipped.mirrored != label.mirrored
             checked += 1
         assert checked > 100
 
     def test_middle_labels_swap_under_mirror(self):
-        assert str(classify4(mirror(cfg4((1, 2, 5, 1), (4, 3, 9))))) == "ADB"
-        assert str(classify4(mirror(cfg4((1, 1, 1, 1), (3, 3, 3))))) == "ADD"
+        assert str(classify(mirror(cfg4((1, 2, 5, 1), (4, 3, 9))))) == "ADB"
+        assert str(classify(mirror(cfg4((1, 1, 1, 1), (3, 3, 3))))) == "ADD"
 
 
 class TestPlan4:
@@ -163,14 +155,14 @@ class TestPlan4:
             "ADCB": cfg4((1, 6, 9, 2), (8, 5, 12)),
         }
         for tag, cfg in configs.items():
-            plan = adversarial_plan4(cfg)
+            plan = adversarial_plan(cfg)
             assert str(plan.label) == tag
             assert plan.semantics is PlanSemantics.ALL_MUST_FAIL
             assert len(plan.candidates) == 1
             assert plan.candidates[0].indices == expected[tag]
 
     def test_add_candidates(self):
-        plan = adversarial_plan4(cfg4((1, 1, 1, 1), (3, 3, 3)))
+        plan = adversarial_plan(cfg4((1, 1, 1, 1), (3, 3, 3)))
         assert plan.semantics is PlanSemantics.ANY_MUST_FAIL
         assert plan.names == ("S1", "S2", "S7", "S7'")
         assert [s.indices for s in plan.candidates] == [
@@ -182,12 +174,12 @@ class TestPlan4:
 
     def test_mirrored_labels_emit_mirrored_seedings(self):
         cfg = cfg4((1, 2, 5, 1), (4, 9, 3))  # AA~
-        plan = adversarial_plan4(cfg)
+        plan = adversarial_plan(cfg)
         assert str(plan.label) == "AA~"
         assert plan.candidates[0] == mirror_seeding(Seeding((2, 4, 5, 7)), 4)
 
         cfg_ab = cfg4((1, 1, 1, 3), (2, 2, 2))  # mirror of the AB example
-        plan_ab = adversarial_plan4(cfg_ab)
+        plan_ab = adversarial_plan(cfg_ab)
         assert str(plan_ab.label) == "AB~"
         assert plan_ab.candidates[0].indices == (2, 4, 6, 8)
 
@@ -196,7 +188,7 @@ class TestPlan4:
         for _ in range(500):
             cfg = sample_valid(rng, 4)
             try:
-                plan = adversarial_plan4(cfg)
+                plan = adversarial_plan(cfg)
             except ClassificationTieError:
                 continue
             for seeding in plan.candidates:
@@ -206,71 +198,67 @@ class TestPlan4:
 
 class TestClassifyK:
     def test_ba(self):
-        assert str(classify_k(DistanceConfig((1, 3, 1, 1, 1), (2, 2, 2, 2)))) == "BA"
+        assert str(classify(DistanceConfig((1, 3, 1, 1, 1), (2, 2, 2, 2)))) == "BA"
 
     def test_bb(self):
-        assert str(classify_k(DistanceConfig((3, 1, 1, 1, 1), (2, 2, 2, 2)))) == "BB"
+        assert str(classify(DistanceConfig((3, 1, 1, 1, 1), (2, 2, 2, 2)))) == "BB"
 
     def test_bd_with_longest_pair_index(self):
-        assert str(classify_k(DistanceConfig((5, 4, 4, 4, 4), (1, 1, 1, 1)))) == "BD(1)"
+        assert str(classify(DistanceConfig((5, 4, 4, 4, 4), (1, 1, 1, 1)))) == "BD(1)"
 
     def test_bd_tie_on_longest(self):
         with pytest.raises(ClassificationTieError):
-            classify_k(DistanceConfig((5, 5, 4, 4, 4), (1, 1, 1, 1)))
+            classify(DistanceConfig((5, 5, 4, 4, 4), (1, 1, 1, 1)))
 
     def test_be(self):
-        assert str(classify_k(DistanceConfig((1, 1, 1, 1, 1), (3, 3, 3, 3)))) == "BE"
+        assert str(classify(DistanceConfig((1, 1, 1, 1, 1), (3, 3, 3, 3)))) == "BE"
 
     def test_bc_inner_ascending_gap(self):
         # gap 1 is a peak, gap 2 ascending: 1 < 4 < 5
         cfg = DistanceConfig((1, 1, 5, 5, 5), (3, 4, 9, 9))
-        assert str(classify_k(cfg)) == "BC(2)"
+        assert str(classify(cfg)) == "BC(2)"
 
     def test_bc_mirrored_from_descending_gap(self):
         # mirror of the BC(2) example: descending gap at position 3 of k=5
         cfg = DistanceConfig((5, 5, 5, 1, 1), (9, 9, 4, 3))
-        assert str(classify_k(cfg)) == "BC(2)~"
+        assert str(classify(cfg)) == "BC(2)~"
 
     def test_unclassified_mixed(self):
         cfg = DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2))
-        assert str(classify_k(cfg)) == UNCLASSIFIED
-
-    def test_requires_k_above_4(self):
-        with pytest.raises(ValueError):
-            classify_k(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
+        assert str(classify(cfg)) == UNCLASSIFIED
 
 
 class TestPlanK:
     def test_ba_seeding(self):
         cfg = DistanceConfig((1, 3, 1, 1, 1), (2, 2, 2, 2))
-        plan = adversarial_plan_k(cfg)
+        plan = adversarial_plan(cfg)
         assert plan.candidates[0].indices == (2, 4, 5, 7, 9)
         assert plan.semantics is PlanSemantics.ALL_MUST_FAIL
 
     def test_bb_seeding(self):
         cfg = DistanceConfig((3, 1, 1, 1, 1), (2, 2, 2, 2))
-        assert adversarial_plan_k(cfg).candidates[0].indices == (1, 3, 5, 7, 9)
+        assert adversarial_plan(cfg).candidates[0].indices == (1, 3, 5, 7, 9)
 
     def test_bc_seeding(self):
         cfg = DistanceConfig((1, 1, 5, 5, 5), (3, 4, 9, 9))  # BC(2)
-        assert adversarial_plan_k(cfg).candidates[0].indices == (2, 4, 6, 7, 9)
+        assert adversarial_plan(cfg).candidates[0].indices == (2, 4, 6, 7, 9)
 
     def test_bc_mirrored_seeding(self):
         cfg = DistanceConfig((5, 5, 5, 1, 1), (9, 9, 4, 3))  # BC(2)~
-        base = adversarial_plan_k(
+        base = adversarial_plan(
             DistanceConfig((1, 1, 5, 5, 5), (3, 4, 9, 9))
         ).candidates[0]
-        assert adversarial_plan_k(cfg).candidates[0] == mirror_seeding(base, 5)
+        assert adversarial_plan(cfg).candidates[0] == mirror_seeding(base, 5)
 
     def test_bd_seeding(self):
         cfg = DistanceConfig((5, 4, 4, 4, 4), (1, 1, 1, 1))  # BD(1)
-        assert adversarial_plan_k(cfg).candidates[0].indices == (1, 2, 4, 6, 8)
+        assert adversarial_plan(cfg).candidates[0].indices == (1, 2, 4, 6, 8)
         cfg3 = DistanceConfig((4, 4, 5, 4, 4), (1, 1, 1, 1))  # BD(3)
-        assert adversarial_plan_k(cfg3).candidates[0].indices == (1, 3, 5, 6, 8)
+        assert adversarial_plan(cfg3).candidates[0].indices == (1, 3, 5, 6, 8)
 
     def test_be_candidates_extend_the_k4_set(self):
         cfg = DistanceConfig((1, 1, 1, 1, 1), (3, 3, 3, 3))
-        plan = adversarial_plan_k(cfg)
+        plan = adversarial_plan(cfg)
         assert plan.semantics is PlanSemantics.ANY_MUST_FAIL
         assert [s.indices for s in plan.candidates] == [
             (2, 5, 7, 8, 9),
@@ -281,13 +269,13 @@ class TestPlanK:
 
     def test_be_candidates_k6(self):
         cfg = DistanceConfig((1, 1, 1, 1, 1, 1), (3, 3, 3, 3, 3))
-        plan = adversarial_plan_k(cfg)
+        plan = adversarial_plan(cfg)
         assert plan.candidates[0].indices == (2, 5, 7, 8, 9, 11)
 
     def test_unclassified_raises(self):
         cfg = DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2))
         with pytest.raises(UnclassifiedConfigError):
-            adversarial_plan_k(cfg)
+            adversarial_plan(cfg)
 
     def test_emitted_seedings_are_k_subsets(self):
         rng = random.Random(24)
@@ -295,7 +283,7 @@ class TestPlanK:
             k = rng.randint(5, 6)
             cfg = sample_valid(rng, k)
             try:
-                plan = adversarial_plan_k(cfg)
+                plan = adversarial_plan(cfg)
             except (ClassificationTieError, UnclassifiedConfigError):
                 continue
             for seeding in plan.candidates:

@@ -227,6 +227,20 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--k", "4", "--regions", "AA(2)"), ("--k", "5", "--regions", "BC(1)"),
+         ("--k", "4", "--bound", "4294967296")],
+        ids=["param_at_k4", "bc_param_below_2", "bound_past_one_word"],
+    )
+    def test_region_the_sampler_cannot_draw_rejected(self, capsys, tmp_path, args):
+        code, out, err = run_cli(
+            capsys, "verify", *args, "--samples", "1", "--output", str(tmp_path / "r.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_is_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,

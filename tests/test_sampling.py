@@ -1,11 +1,12 @@
 """Integer-native sampling and classification against slow Fraction references.
 
-The sampler and the case analysis work on the raw ``randint`` numerators.
-The references below are the straightforward versions: one ``Fraction``
-config per draw, thresholds as ``(2*gap + right)/3``, and every comparison
-made on fractions.  For the same RNG they must pick the same configs and
-consume the same stream; on every config they must give the same label or
-the same tie.
+The sampler and the case analysis work on the raw ``randint`` numerators,
+which the sampler reads straight from the Mersenne Twister words.  The
+references below are the straightforward versions: ``randint`` per entry,
+one ``Fraction`` config per draw, thresholds as ``(2*gap + right)/3``, and
+every comparison made on fractions.  For the same RNG they must pick the
+same configs and consume the same stream; on every config they must give
+the same label or the same tie.
 """
 
 import random
@@ -20,6 +21,7 @@ from kmeans_richness.model import DistanceConfig
 from kmeans_richness.verify import (
     RegionExhaustedError,
     RegionSpec,
+    _words,
     default_regions,
     sample_config,
 )
@@ -130,10 +132,10 @@ def reference_sample_config(spec, rng, max_rejections):
 MAX_REJECTIONS = 2_000
 
 
-def _outcome(sampler, spec, seed):
+def _outcome(sampler, spec, seed, max_rejections=MAX_REJECTIONS):
     rng = random.Random(seed)
     try:
-        result = sampler(spec, rng, MAX_REJECTIONS)
+        result = sampler(spec, rng, max_rejections)
     except RegionExhaustedError:
         result = RegionExhaustedError
     return result, rng.getstate()
@@ -163,6 +165,64 @@ def test_all_valid_small_k_matches_reference():
             assert _outcome(sample_config, spec, seed) == _outcome(
                 reference_sample_config, spec, seed
             )
+
+
+@pytest.mark.parametrize("max_rejections", [1, 7, 300])
+@pytest.mark.parametrize("bound", [64, 255, 1000])
+@pytest.mark.parametrize("k", [4, 7, 8])
+def test_sampler_matches_reference_past_one_byte(k, bound, max_rejections):
+    """Power-of-two and multi-byte bounds, exhaustion part-way into a fetch."""
+    for index, region in enumerate(default_regions(k, bound)):
+        spec = RegionSpec(k=k, target=region.target, bound=bound)
+        seed = 7919 * k + 31 * index + bound + max_rejections
+        expected = _outcome(reference_sample_config, spec, seed, max_rejections)
+        assert _outcome(sample_config, spec, seed, max_rejections) == expected, spec.name
+
+
+@pytest.mark.parametrize("bound", [2**31, 2**32 - 1])
+def test_sampler_matches_reference_at_full_word_bounds(bound):
+    for k in (1, 2, 4):
+        spec = RegionSpec(k=k, bound=bound, denominator=7)
+        for seed in range(3):
+            expected = _outcome(reference_sample_config, spec, seed, 50)
+            assert _outcome(sample_config, spec, seed, 50) == expected
+
+
+def test_bound_beyond_one_word_rejected():
+    RegionSpec(k=4, bound=2**32 - 1)
+    with pytest.raises(ValueError, match="bound must be <= 4294967295"):
+        RegionSpec(k=4, bound=2**32)
+
+
+def test_sampler_needs_a_plain_random():
+    class Shuffled(random.Random):
+        pass
+
+    spec = RegionSpec(k=4)
+    for rng in (Shuffled(0), random.SystemRandom()):
+        with pytest.raises(TypeError, match="random.Random"):
+            sample_config(spec, rng)
+
+
+# --- the word stream is randint's ---------------------------------------------
+
+
+def _stream(rng, bound, count):
+    """The first ``count`` values ``randint(1, bound)`` would give, read from
+    the words as ``sample_config`` reads them."""
+    shift = 32 - bound.bit_length()
+    values = []
+    while len(values) < count:
+        values += [(w >> shift) + 1 for w in _words(rng, count) if w >> shift < bound]
+    return values[:count]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 12, 50, 64, 255, 1000, 2**31, 2**32 - 1])
+def test_word_stream_is_randint(bound):
+    """Guards the sampler against a change in how ``randint`` reads the generator."""
+    rng = random.Random(bound)
+    expected = [rng.randint(1, bound) for _ in range(20_000)]
+    assert _stream(random.Random(bound), bound, 20_000) == expected
 
 
 # --- classification: integer core vs fractions --------------------------------

@@ -1,14 +1,17 @@
 """Certification, exhaustive search, probabilities, sampling, campaigns."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from kmeans_richness.cases import CaseLabel, ClassificationTieError, classify, label_of
 from kmeans_richness.model import (
     DistanceConfig,
     embed,
+    is_valid,
     scale_config,
     target_partition,
     validate,
@@ -328,10 +331,39 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             RegionSpec(k=3, target="AA")
 
-    @pytest.mark.parametrize("k, target", [(5, "AA"), (4, "BA"), (4, "ADA~"), (6, "BD~")])
+    @pytest.mark.parametrize(
+        "k, target",
+        [(5, "AA"), (4, "BA"), (4, "ADA~"), (6, "BD~"),
+         (4, "AA(2)"), (5, "BC(1)"), (5, "BA(3)"), (6, "BD(7)"), (5, "BC(4)~")],
+    )
     def test_label_the_classifier_never_returns_rejected(self, k, target):
         with pytest.raises(ValueError, match="no k="):
             RegionSpec(k=k, target=target)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_region_params_are_the_classifiers(self, k):
+        """Every label of a valid config with entries in 1..3 is a region, and
+        every param a region rejects is one the classifier never returns."""
+        returned = set()
+        for entries in itertools.product((1, 2, 3), repeat=2 * k - 1):
+            a, p = entries[:k], entries[k:]
+            if not is_valid(a, p):
+                continue
+            try:
+                returned.add(label_of(a, p))
+            except ClassificationTieError:
+                continue
+        for label in returned:
+            RegionSpec(k=k, target=str(label))
+        for tag, mirrored in {(label.tag, label.mirrored) for label in returned}:
+            for param in range(k + 2):
+                label = CaseLabel(tag, mirrored, param)
+                try:
+                    RegionSpec(k=k, target=str(label))
+                except ValueError:
+                    assert label not in returned, label
+                else:
+                    assert label in returned, label
 
     def test_denominator_scales_entries(self):
         rng = random.Random(39)
@@ -349,9 +381,7 @@ class TestSampleConfig:
         rng = random.Random(41)
         spec = RegionSpec(k=5, target="UNCLASSIFIED", bound=12)
         cfg = sample_config(spec, rng)
-        from kmeans_richness.cases import classify_k
-
-        assert str(classify_k(cfg)) == "UNCLASSIFIED"
+        assert str(classify(cfg)) == "UNCLASSIFIED"
 
 
 class TestCampaign:
