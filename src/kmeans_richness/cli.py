@@ -40,11 +40,15 @@ def _load_config(source: str) -> model.DistanceConfig:
         pass
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return model.config_from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"bad JSON config: {exc}") from None
+        return model.config_from_dict(_parse_json(text, "config"))
     return model.parse_config(text)
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise CliError(f"bad JSON {what}: {exc}") from None
 
 
 def _parse_seeding(text: str) -> model.Seeding:
@@ -252,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     if args.check:
-        data = json.loads(Path(args.check).read_text())
+        data = _parse_json(Path(args.check).read_text(), "certificate")
         problems = verify.recheck_certificate(data)
         if problems:
             for problem in problems:

@@ -148,6 +148,19 @@ def _scaled_positions(positions: Sequence[Fraction]) -> tuple[tuple[int, ...], i
     return tuple(int(x * den) for x in positions), den
 
 
+def _boundary(xs: Sequence[int], s1: int, c1: int, s2: int, c2: int) -> int:
+    """How many points lie strictly left of the midpoint of centroids s1/c1 <
+    s2/c2, or ``~cut`` (negative) when the point at ``cut`` lies on it."""
+    left = s1 * c2
+    right = s2 * c1
+    if left >= right:
+        raise EngineInvariantError("centroids out of order")
+    num = left + right
+    den = 2 * c1 * c2
+    cut = bisect_left(xs, -(-num // den))
+    return ~cut if cut < len(xs) and xs[cut] * den == num else cut
+
+
 def _cuts(
     xs: Sequence[int], cents: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, ...], tuple[int, int, int] | None]:
@@ -160,15 +173,11 @@ def _cuts(
     s1, c1 = cents[0]
     for j in range(1, len(cents)):
         s2, c2 = cents[j]
-        left = s1 * c2
-        right = s2 * c1
-        if left >= right:
-            raise EngineInvariantError("centroids out of order")
-        num = left + right
-        den = 2 * c1 * c2
-        cut = bisect_left(xs, -(-num // den))
-        if tie is None and cut < len(xs) and xs[cut] * den == num:
-            tie = (cut, j - 1, j)
+        cut = _boundary(xs, s1, c1, s2, c2)
+        if cut < 0:
+            cut = ~cut
+            if tie is None:
+                tie = (cut, j - 1, j)
         cuts.append(cut)
         s1, c1 = s2, c2
     return tuple(cuts), tie
@@ -294,6 +303,7 @@ class LineEngine:
         self.points = points
         self._xs, self._den = _scaled_positions(points.positions)
         self._prefix = [0, *accumulate(self._xs)]
+        self._table: dict[tuple[int, int, int], int] = {}
 
     def _check_seeding(self, seeding: Seeding) -> None:
         if seeding.indices[-1] > self.points.n:
@@ -358,13 +368,30 @@ class LineEngine:
         """History-free strict run: (kind, final labels, empty rule used, steps)."""
         return _iterate(self._xs, self._prefix, seed_indices, cap)[:4]
 
-    def step(self, cuts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int, int] | None]:
+    def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | None:
         """One Lloyd step from a partition with no empty block, given as cuts.
 
-        Returns the next partition's cuts and the tie, as ``_cuts`` does; with
-        no empty block the block means alone fix the centroids.
+        Returns the next partition's cuts, or None on a midpoint tie.  With no
+        empty block, the boundary between blocks j-1 and j moves to a place
+        fixed by their two means alone, so by the cuts (lo, mid, hi) around
+        it; ``_table`` maps each such triple to its ``_boundary`` result.
         """
-        return _cuts(self._xs, _means(self._prefix, cuts, ())[0])
+        xs, prefix, table = self._xs, self._prefix, self._table
+        nxt = []
+        bounds = (*cuts, len(xs))
+        lo = 0
+        mid = bounds[0]
+        for hi in bounds[1:]:
+            key = (lo, mid, hi)
+            cut = table.get(key)
+            if cut is None:
+                s1, s2 = prefix[mid] - prefix[lo], prefix[hi] - prefix[mid]
+                cut = table[key] = _boundary(xs, s1, mid - lo, s2, hi - mid)
+            if cut < 0:
+                return None
+            nxt.append(cut)
+            lo, mid = mid, hi
+        return tuple(nxt)
 
     def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
         if cap < 1:

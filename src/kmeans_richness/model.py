@@ -374,5 +374,5 @@ def config_from_dict(data: dict) -> DistanceConfig:
     if declared is not None and not isinstance(declared, (int, str)):
         raise ConfigParseError("'k' must be an integer")
     if declared is not None and int(declared) != cfg.k:
-        raise ConfigParseError(f"declared k={declared} but got {cfg.k} intra-pair distances")
+        raise ConfigParseError(f"declared k={declared!r} but got {cfg.k} intra-pair distances")
     return cfg

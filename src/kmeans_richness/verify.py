@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from math import comb
 from typing import Sequence
 
@@ -86,7 +86,9 @@ def survey_seedings(
     partition is the tuple of step-0 cuts between adjacent seeds
     (``LineEngine.step0_cuts``).  The seedings are walked depth first, one
     cut per seed, so seedings share their prefix's cuts, and a point on a
-    midpoint ties the whole subtree.
+    midpoint ties the whole subtree.  The last seed adds no later cut, so
+    the last seeds after one prefix are taken in runs of equal step-0 cut,
+    one first partition per run.
 
     A partition with no empty block fixes the next centroids, so one Lloyd
     step runs per distinct such partition: a memo maps its cuts to the
@@ -105,6 +107,11 @@ def survey_seedings(
     rows = [[()] * (n + 1)] + [
         [None if c is None else (c,) for c in row] for row in engine.step0_cuts()[1:]
     ]
+    # per row, the last seeds j in order, grouped into runs of equal step-0 cut
+    runs = [
+        [(cut, list(js)) for cut, js in groupby(range(i + 1, n + 1), row.__getitem__)]
+        for i, row in enumerate(rows)
+    ]
     # cuts -> (outcome, depth); outcome None: the chain empties a block
     memo: dict[tuple[int, ...], tuple[str | None, int]] = {}
     # first partition's cuts -> the outcome of its seedings under cap
@@ -121,8 +128,8 @@ def survey_seedings(
         chain = []  # stepped partitions, up to a memo hit, fixed point, tie or empty block
         while key not in memo:
             chain.append(key)
-            nxt, tie = engine.step(key)
-            if tie is not None:
+            nxt = engine.step(key)
+            if nxt is None:
                 entry = ("tie", 0)
             elif nxt == key:
                 entry = ("reached" if key == target else "failed", 0)
@@ -151,8 +158,20 @@ def survey_seedings(
     def visit(seeds: tuple[int, ...], key: tuple[int, ...]) -> None:
         nonlocal first_failing
         i = seeds[-1] if seeds else 0
+        if len(seeds) + 1 == k:  # the last seed: it adds one cut and no later one
+            for cut, js in runs[i]:
+                if cut is None:
+                    outcome = "tie"
+                else:
+                    first = key + cut
+                    outcome = settled.get(first) or settle(first, (*seeds, js[0]))
+                counts[outcome] += len(js)
+                if outcome == "failed" and first_failing is None:
+                    first_failing = Seeding((*seeds, js[0]))
+                elif outcome == "tie":
+                    tied.extend(Seeding((*seeds, j)) for j in js)
+            return
         row = rows[i]
-        inner = len(seeds) + 1 < k
         for j in range(i + 1, n - k + len(seeds) + 2):  # room for the seeds to come
             cut = row[j]
             if cut is None:
@@ -160,16 +179,8 @@ def survey_seedings(
                 subtree = [Seeding((*seeds, j, *r)) for r in rest]
                 counts["tie"] += len(subtree)
                 tied.extend(subtree)
-            elif inner:
-                visit((*seeds, j), key + cut)
             else:
-                first = key + cut
-                outcome = settled.get(first) or settle(first, (*seeds, j))
-                counts[outcome] += 1
-                if outcome == "failed" and first_failing is None:
-                    first_failing = Seeding((*seeds, j))
-                elif outcome == "tie":
-                    tied.append(Seeding((*seeds, j)))
+                visit((*seeds, j), key + cut)
 
     visit((), ())
     del visit  # it refers to itself; drop the cycle so the memo is freed now

@@ -5,10 +5,13 @@ step-0 midpoint cuts and runs one Lloyd step per distinct partition with no
 empty block, memoizing each partition's outcome and depth.  The reference
 below runs every seeding from its seeds, in the same lexicographic order.  On
 every config and cap the two must agree in every ``SeedingSurvey`` field,
-``first_failing``, ``tied`` and ``empty_rule_used`` included.
+``first_failing``, ``tied`` and ``empty_rule_used`` included.  The step
+itself, a lookup in a table of block boundaries, is checked against plain
+``Fraction`` arithmetic.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import lloyd
-from kmeans_richness.lloyd import DEFAULT_CAP, LineEngine
+from kmeans_richness.lloyd import DEFAULT_CAP, EngineInvariantError, LineEngine
 from kmeans_richness.model import DistanceConfig, Partition, Seeding, embed, target_partition
 from kmeans_richness.verify import (
     RegionSpec,
@@ -193,3 +196,50 @@ def test_one_step_per_distinct_partition(a, p, monkeypatch):
     survey = survey_seedings(cfg)
     assert not survey.empty_rule_used  # no run leaves the memo for a run from the seeds
     assert len(steps) == len(set(steps)) == len(visited)
+
+
+def reference_step(positions, cuts):
+    """One Lloyd step in plain Fractions: the block means, each adjacent
+    midpoint, and how many points lie strictly left of it; None on a tie."""
+    bounds = (0, *cuts, len(positions))
+    means = [sum(positions[lo:hi], Fraction(0)) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    nxt = []
+    for left, right in zip(means, means[1:]):
+        midpoint = (left + right) / 2
+        if midpoint in positions:
+            return None
+        nxt.append(sum(1 for x in positions if x < midpoint))
+    return tuple(nxt)
+
+
+@st.composite
+def step_configs(draw):
+    k = draw(st.integers(2, 6))
+    entries = st.integers(1, draw(st.sampled_from([4, 50])))  # 1..4: ties are common
+    a = draw(st.lists(entries, min_size=k, max_size=k))
+    p = draw(st.lists(entries, min_size=k - 1, max_size=k - 1))
+    return DistanceConfig(tuple(a), tuple(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_configs(), st.randoms(use_true_random=False))
+def test_table_step_matches_fraction_reference(cfg, rnd):
+    points = embed(cfg)
+    n = points.n
+    every = list(combinations(range(1, n), cfg.k - 1))  # the partitions with no empty block
+    expected = {cuts: reference_step(points.positions, cuts) for cuts in every}
+    engine = LineEngine(points)
+    shuffled = every[:]
+    rnd.shuffle(shuffled)
+    # the second pass reads a table the first one filled, in another order
+    for order in (every, shuffled):
+        assert {cuts: engine.step(cuts) for cuts in order} == expected
+
+
+def test_boundary_rejects_centroids_out_of_order():
+    xs = (0, 2, 4, 6)
+    assert lloyd._boundary(xs, 2, 1, 4, 1) == 2
+    assert lloyd._boundary(xs, 3, 1, 5, 1) == ~2  # the midpoint 4 is a point
+    for s1, s2 in ((4, 4), (5, 3)):
+        with pytest.raises(EngineInvariantError):
+            lloyd._boundary(xs, s1, 1, s2, 1)
