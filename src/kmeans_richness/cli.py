@@ -82,11 +82,7 @@ def _plan_text(plan: cases.AdversarialPlan) -> str:
 
 
 def render_partition(points: model.PointSet, partition: model.Partition) -> str:
-    """Bracketed point runs with the distances between them, figure-style."""
-    if not partition.is_contiguous():
-        return " ".join(
-            "{" + ",".join(f"n{i}" for i in block) + "}" for block in partition.blocks()
-        )
+    """Bracketed runs of a contiguous partition's points, with the gaps between them."""
     labels = partition.labels
     gaps = points.gaps()
     out = ["[o"]
@@ -335,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (  # ValueError includes ConfigParseError and NonPositiveDistanceError
         CliError, ValueError, ArithmeticError, OSError,
-        cases.ClassificationTieError, lloyd.TieError,
+        cases.ClassificationTieError, lloyd.TieError, lloyd.BranchLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -58,7 +58,7 @@ class Centroids:
     empty: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         empty = tuple(self.empty) if self.empty else (False,) * len(values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "empty", empty)
@@ -161,26 +161,10 @@ def _boundary(xs: Sequence[int], s1: int, c1: int, s2: int, c2: int) -> int:
     return ~cut if cut < len(xs) and xs[cut] * den == num else cut
 
 
-def _cuts(
-    xs: Sequence[int], cents: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, ...], tuple[int, int, int] | None]:
-    """Nearest-centroid assignment as cuts: how many points lie left of each
-    adjacent-centroid midpoint.  On a midpoint hit the second value is
-    (point0, j, j+1) for the lowest tied boundary, which is also the first
-    tied point, since boundaries strictly increase."""
-    cuts = []
-    tie = None
-    s1, c1 = cents[0]
-    for j in range(1, len(cents)):
-        s2, c2 = cents[j]
-        cut = _boundary(xs, s1, c1, s2, c2)
-        if cut < 0:
-            cut = ~cut
-            if tie is None:
-                tie = (cut, j - 1, j)
-        cuts.append(cut)
-        s1, c1 = s2, c2
-    return tuple(cuts), tie
+def _boundaries(xs: Sequence[int], cents: Sequence[tuple[int, int]]) -> list[int]:
+    """Nearest-centroid assignment as cuts: ``_boundary`` for each pair of
+    adjacent centroids, left to right."""
+    return [_boundary(xs, s1, c1, s2, c2) for (s1, c1), (s2, c2) in zip(cents, cents[1:])]
 
 
 def _means(
@@ -280,11 +264,13 @@ def _iterate(
     empty_seen = False
     prev = None
     for step in range(cap):
-        cuts, tie = _cuts(xs, cents)
-        if tie is not None:
+        cuts = tuple(_boundaries(xs, cents))
+        if cuts and min(cuts) < 0:
             if history is not None:
                 history.append((cents, empty, None))
-            return "tie", None, empty_seen, step + 1, (step, tie[0] + 1, (tie[1], tie[2]))
+            # boundaries strictly increase, so the lowest tied one holds the first tied point
+            j = next(j for j, cut in enumerate(cuts) if cut < 0)
+            return "tie", None, empty_seen, step + 1, (step, ~cuts[j] + 1, (j, j + 1))
         if history is not None:
             history.append((cents, empty, _labels(cuts, n)))
         if cuts == prev:
@@ -352,14 +338,12 @@ class LineEngine:
         """
         xs = self._xs
         n = len(xs)
-        doubled = [2 * x for x in xs]
         cuts: list[list[int | None]] = [[None] * (n + 1) for _ in range(n + 1)]
         for i in range(1, n):
             row = cuts[i]
             for j in range(i + 1, n + 1):
-                mid = xs[i - 1] + xs[j - 1]
-                c = bisect_left(doubled, mid, i, j - 1)
-                row[j] = None if doubled[c] == mid else c
+                cut = _boundary(xs, xs[i - 1], 1, xs[j - 1], 1)
+                row[j] = None if cut < 0 else cut
         return cuts
 
     def run_lean(
@@ -397,7 +381,7 @@ class LineEngine:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
-        xs = self._xs
+        xs, prefix, n = self._xs, self._prefix, self.points.n
         results: list[LloydTrace] = []
 
         def explore(
@@ -410,22 +394,20 @@ class LineEngine:
             if depth == cap:
                 results.append(self._materialize(seeding, steps, IterationCapExceeded(cap)))
                 return
-            choices = _choice_sets(xs, cents)
-            seen: set[tuple[int, ...]] = set()
-            for combo in product(*choices):
-                if combo in seen:
-                    continue
-                seen.add(combo)
+            # A point on a midpoint joins the left (lower-id) cluster first.
+            options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in _boundaries(xs, cents)]
+            for cuts in product(*options):
                 if len(results) >= DEFAULT_BRANCH_LIMIT:
                     raise BranchLimitError(f"more than {DEFAULT_BRANCH_LIMIT} branch traces")
-                branch_steps = steps + [(cents, empty, combo)]
-                if combo == prev:
+                labels = _labels(cuts, n)
+                branch_steps = steps + [(cents, empty, labels)]
+                if cuts == prev:
                     results.append(
-                        self._materialize(seeding, branch_steps, Converged(Partition(combo)))
+                        self._materialize(seeding, branch_steps, Converged(Partition(labels)))
                     )
                     continue
-                next_cents, next_empty = _update_cents(xs, combo, cents)
-                explore(next_cents, next_empty, branch_steps, combo, depth + 1)
+                next_cents, next_empty = _means(prefix, cuts, cents)
+                explore(next_cents, next_empty, branch_steps, cuts, depth + 1)
 
         start = [(xs[i - 1], 1) for i in seeding.indices]
         explore(start, (False,) * seeding.k, [], None, 0)
@@ -478,13 +460,7 @@ def assign(
         total *= len(ids)
     if total > DEFAULT_BRANCH_LIMIT:
         raise BranchLimitError(f"{total} tie resolutions exceed the branch budget")
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for combo in product(*sets):
-        if combo not in seen:
-            seen.add(combo)
-            out.append(Partition(combo))
-    return tuple(out)
+    return tuple(Partition(combo) for combo in product(*sets))
 
 
 def _scaled(
@@ -529,23 +505,18 @@ def is_fixed_point(points: PointSet, partition: Partition) -> bool:
     """True iff one assign/update round reproduces the partition without ties.
 
     The partition must have no empty blocks.  A tie at a block boundary
-    counts as not fixed.
+    counts as not fixed, and so does a non-contiguous partition:
+    nearest-centroid blocks on a line are intervals.
     """
     labels = partition.labels
     if len(labels) != points.n:
         raise ValueError(f"partition covers {len(labels)} points, point set has {points.n}")
-    k = max(labels) + 1
-    if len(set(labels)) != k:
+    if len(set(labels)) != max(labels) + 1:
         raise ValueError("partition has empty blocks")
-    xs, _den = _scaled_positions(points.positions)
-    cents, _empty = _update_cents(xs, labels, [None] * k)  # no block is empty
-    sets = _choice_sets(xs, cents)
-    out = []
-    for ids in sets:
-        if len(ids) > 1:
-            return False
-        out.append(ids[0])
-    return Partition(tuple(out)) == partition
+    if not partition.is_contiguous():
+        return False
+    cuts = tuple(i for i in range(1, len(labels)) if labels[i] != labels[i - 1])
+    return LineEngine(points).step(cuts) == cuts
 
 
 def cost(points: PointSet, partition: Partition) -> Fraction:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from kmeans_richness import lloyd
 from kmeans_richness.cli import main
 
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
@@ -100,6 +101,15 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "branch" in out
+
+    def test_branch_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(lloyd, "DEFAULT_BRANCH_LIMIT", 1)
+        code, out, err = run_cli(
+            capsys, "simulate", "a=2,2; p=2", "--seeding", "1,3", "--tie-mode", "branch"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json_trace(self, capsys):
         code, out, _ = run_cli(

@@ -6,10 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from kmeans_richness import lloyd
 from kmeans_richness.lloyd import (
+    DEFAULT_CAP,
+    BranchLimitError,
     Centroids,
     Converged,
     IterationCapExceeded,
+    LloydStep,
+    LloydTrace,
     TieEncountered,
     TieError,
     TiePolicy,
@@ -48,6 +53,76 @@ def random_config(rng, k=None, bound=12):
 
 def random_seeding(rng, k):
     return Seeding(tuple(rng.sample(range(1, 2 * k + 1), k)))
+
+
+def tie_prone_config(rng, k):
+    """Any config (valid or not) with entries in 1..4, where ties are common."""
+    return DistanceConfig(
+        tuple(rng.randint(1, 4) for _ in range(k)),
+        tuple(rng.randint(1, 4) for _ in range(k - 1)),
+    )
+
+
+def reference_branch(points, seeding, cap=DEFAULT_CAP):
+    """Branch mode in label space, on the public assign and update.
+
+    Every tie resolution is followed, lowest cluster id first; a run stops
+    when a labeling repeats or at the cap, and runs that walked the same
+    partition sequence to the same kind of end are kept once.
+    """
+    results = []
+
+    def explore(cents, steps, prev, depth):
+        if depth == cap:
+            results.append(LloydTrace(seeding, tuple(steps), IterationCapExceeded(cap)))
+            return
+        for part in assign(points, cents, TiePolicy.BRANCH):
+            if len(results) >= lloyd.DEFAULT_BRANCH_LIMIT:
+                raise BranchLimitError("reference branch budget")
+            branch = [*steps, LloydStep(cents, part)]
+            if part.labels == prev:
+                results.append(LloydTrace(seeding, tuple(branch), Converged(part)))
+                continue
+            explore(update(points, part, cents), branch, part.labels, depth + 1)
+
+    explore(seed_centroids(points, seeding), [], None, 0)
+    unique, seen = [], set()
+    for trace in results:
+        key = (trace.partition_sequence(), trace.outcome.kind)
+        if key not in seen:
+            seen.add(key)
+            unique.append(trace)
+    return unique
+
+
+def branch_digests(traces):
+    return [trace_digest(trace) for trace in traces]
+
+
+def reference_is_fixed_point(points, partition):
+    """One public assign/update round reproduces the partition; a tie is not fixed."""
+    k = max(partition.labels) + 1
+    try:
+        return assign(points, update(points, partition, Centroids((0,) * k))) == partition
+    except TieError:
+        return False
+
+
+def random_cut_labels(rng, n, blocks):
+    """Labels of a random contiguous partition into ``blocks`` blocks."""
+    cuts = sorted(rng.sample(range(1, n), blocks - 1))
+    labels = []
+    for j, (lo, hi) in enumerate(zip((0, *cuts), (*cuts, n))):
+        labels += [j] * (hi - lo)
+    return labels
+
+
+class TestCentroids:
+    def test_values_come_back_as_fractions(self):
+        # str() and == hide the type, so check it directly
+        cents = Centroids((1, 2.5, Fraction(7, 3)))
+        assert cents.values == (1, Fraction(5, 2), Fraction(7, 3))
+        assert all(type(v) is Fraction for v in cents.values)
 
 
 class TestAssign:
@@ -210,6 +285,93 @@ class TestIsFixedPoint:
                 tuple(rng.randint(1, 8) for _ in range(k - 1)),
             )
             assert is_fixed_point(embed(cfg), target_partition(k)) == validate(cfg).valid
+
+    def test_matches_label_space_definition(self):
+        # three kinds of random partition: contiguous with shuffled ids,
+        # non-contiguous, and contiguous on tie-prone configs
+        rng = random.Random(6)
+        fixed = tied = scattered = 0
+        for kind in ("shuffled", "scattered", "tie-prone"):
+            for _ in range(400):
+                k = rng.randint(1, 6)
+                if kind == "tie-prone":
+                    cfg = tie_prone_config(rng, k)
+                else:
+                    cfg = DistanceConfig(
+                        tuple(rng.randint(1, 12) for _ in range(k)),
+                        tuple(rng.randint(1, 12) for _ in range(k - 1)),
+                    )
+                points = embed(cfg)
+                n = points.n
+                blocks = rng.randint(1, n)
+                if kind == "scattered":
+                    labels = [*range(blocks), *(rng.randrange(blocks) for _ in range(n - blocks))]
+                    rng.shuffle(labels)
+                    if Partition(tuple(labels)).is_contiguous():
+                        continue
+                    scattered += 1
+                else:
+                    ids = list(range(blocks))
+                    rng.shuffle(ids)
+                    labels = [ids[j] for j in random_cut_labels(rng, n, blocks)]
+                partition = Partition(tuple(labels))
+                expected = reference_is_fixed_point(points, partition)
+                assert is_fixed_point(points, partition) == expected
+                fixed += expected and 1 < blocks < n  # one block or singletons: always fixed
+                if kind == "tie-prone" and not expected:
+                    try:
+                        assign(points, update(points, partition, Centroids((0,) * blocks)))
+                    except TieError:
+                        tied += 1
+        assert fixed > 100 and tied > 20 and scattered > 200
+
+
+class TestBranchReference:
+    """``run_branch`` on the cut-space core against the label-space reference."""
+
+    def test_tie_prone_configs_every_cap(self):
+        rng = random.Random(18)
+        multi = 0
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            points = embed(tie_prone_config(rng, k))
+            seeding = random_seeding(rng, k)
+            for cap in (1, 2, 3, DEFAULT_CAP):
+                traces = run(points, seeding, TiePolicy.BRANCH, cap)
+                assert branch_digests(traces) == branch_digests(
+                    reference_branch(points, seeding, cap)
+                )
+                multi += len(traces) > 1
+        assert multi > 200
+
+    def test_empty_cluster_config_every_seeding(self):
+        points = embed(DistanceConfig((18, 9, 17, 1, 36, 31), (7, 42, 50, 24, 10)))
+        frozen = 0
+        for indices in itertools.combinations(range(1, 13), 6):
+            seeding = Seeding(indices)
+            traces = run(points, seeding, TiePolicy.BRANCH)
+            assert branch_digests(traces) == branch_digests(reference_branch(points, seeding))
+            frozen += any(trace.used_empty_cluster_rule() for trace in traces)
+        assert frozen
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_same_branch_limit_error(self, monkeypatch, limit):
+        monkeypatch.setattr(lloyd, "DEFAULT_BRANCH_LIMIT", limit)
+        rng = random.Random(19 + limit)
+        raised = 0
+        for _ in range(100):
+            k = rng.randint(2, 6)
+            points = embed(tie_prone_config(rng, k))
+            seeding = random_seeding(rng, k)
+            try:
+                expected = branch_digests(reference_branch(points, seeding))
+            except BranchLimitError:
+                with pytest.raises(BranchLimitError):
+                    run(points, seeding, TiePolicy.BRANCH)
+                raised += 1
+                continue
+            assert branch_digests(run(points, seeding, TiePolicy.BRANCH)) == expected
+        assert 0 < raised < 100
 
 
 class TestCost:
