@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .model import DistanceConfig, Seeding, _require_valid, mirror_seeding
 
@@ -110,8 +111,14 @@ def _shape(left, gap, right, ties: tuple[str, str, str]) -> str | None:
 _LEFT_END = ("a1 = p12", "p12 = a2", "a1 = (2*p12+a2)/3")
 _RIGHT_END = ("a4 = p34", "p34 = a3", "a4 = (2*p34+a3)/3")
 _MIDDLE = ("a2 = p23", "p23 = a3", "a2 = (2*p23+a3)/3")
+# One shared label per k=4 (tag, mirrored), by the shape that decides it.
+_END_LABELS = {shape: CaseLabel("A" + shape) for shape in ("A", "B", "CA", "CB")}
+_MIRRORED_END_LABELS = {shape: CaseLabel("A" + shape, True) for shape in _END_LABELS}
 # The ADC split names its sides the other way round from the ends' AC split.
-_MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}
+_MIDDLE_LABELS = {
+    shape: CaseLabel(tag)
+    for shape, tag in {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}.items()
+}
 
 
 def _label4(a, p) -> CaseLabel:
@@ -123,11 +130,15 @@ def _label4(a, p) -> CaseLabel:
     p12, p23, p34 = p
     shape = _shape(a1, p12, a2, _LEFT_END)
     if shape is not None:
-        return CaseLabel("A" + shape)
+        return _END_LABELS[shape]
     shape = _shape(a4, p34, a3, _RIGHT_END)
     if shape is not None:
-        return CaseLabel("A" + shape, mirrored=True)
-    return CaseLabel(_MIDDLE_TAGS[_shape(a2, p23, a3, _MIDDLE)])
+        return _MIRRORED_END_LABELS[shape]
+    return _MIDDLE_LABELS[_shape(a2, p23, a3, _MIDDLE)]
+
+
+# One shared label per (tag, mirrored, param) at k > 4.
+_shared_label = cache(CaseLabel)
 
 
 def _label_k(a, p) -> CaseLabel:
@@ -149,23 +160,23 @@ def _label_k(a, p) -> CaseLabel:
     ascending = [m for m in gaps if above_left[m] and not above_right[m]]
     descending = [m for m in gaps if above_right[m] and not above_left[m]]
     if 0 in ascending:
-        return CaseLabel("BA")
+        return _shared_label("BA")
     if 0 in descending:
-        return CaseLabel("BB")
+        return _shared_label("BB")
     if ascending:
-        return CaseLabel("BC", param=ascending[0] + 1)
+        return _shared_label("BC", param=ascending[0] + 1)
     if descending:
         # gap g of the original is gap k-g of the mirror; the smallest
         # ascending mirror gap comes from the largest descending one here
-        return CaseLabel("BC", mirrored=True, param=k - (max(descending) + 1))
+        return _shared_label("BC", mirrored=True, param=k - (max(descending) + 1))
     if not any(above_left) and not any(above_right):
         longest = max(a)
         if a.count(longest) > 1:
             raise ClassificationTieError("longest intra-pair distance is tied")
-        return CaseLabel("BD", param=a.index(longest) + 1)
+        return _shared_label("BD", param=a.index(longest) + 1)
     if all(above_left) and all(above_right):
-        return CaseLabel("BE")
-    return CaseLabel(UNCLASSIFIED)
+        return _shared_label("BE")
+    return _shared_label(UNCLASSIFIED)
 
 
 def label_of(a, p) -> CaseLabel:
@@ -196,8 +207,9 @@ PAIRING_BREAKERS = (
 )
 
 
+@cache
 def _adversarial_plan4(label: CaseLabel) -> AdversarialPlan:
-    """The prescribed seeding(s) for a k=4 label."""
+    """The prescribed seeding(s) for a k=4 label, built once per label."""
     if label.tag == "ADD":
         return AdversarialPlan(
             label,
@@ -254,7 +266,8 @@ def classify(cfg: DistanceConfig) -> CaseLabel:
     if cfg.k < 4:
         raise ValueError(f"no case analysis for k={cfg.k}")
     _require_valid(cfg)
-    return label_of(cfg.a, cfg.p)
+    a, p, _den = cfg._ints
+    return label_of(a, p)
 
 
 def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:
@@ -262,5 +275,6 @@ def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:
     if cfg.k < 4:
         raise ValueError(f"no case analysis for k={cfg.k}")
     _require_valid(cfg)
-    label = label_of(cfg.a, cfg.p)
+    a, p, _den = cfg._ints
+    label = label_of(a, p)
     return _adversarial_plan4(label) if cfg.k == 4 else _adversarial_plan_k(label, cfg.k)

@@ -145,7 +145,7 @@ class EngineInvariantError(AssertionError):
 
 def _scaled_positions(positions: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     den = lcm(*(x.denominator for x in positions))
-    return tuple(int(x * den) for x in positions), den
+    return tuple(x.numerator * (den // x.denominator) for x in positions), den
 
 
 def _boundary(xs: Sequence[int], s1: int, c1: int, s2: int, c2: int) -> int:
@@ -411,17 +411,7 @@ class LineEngine:
 
         start = [(xs[i - 1], 1) for i in seeding.indices]
         explore(start, (False,) * seeding.k, [], None, 0)
-
-        # Distinct resolutions that walked the same partition sequence carry
-        # the same evidence; keep the first.
-        unique: list[LloydTrace] = []
-        seen_seq: set[tuple] = set()
-        for trace in results:
-            key = (trace.partition_sequence(), trace.outcome.kind)
-            if key not in seen_seq:
-                seen_seq.add(key)
-                unique.append(trace)
-        return tuple(unique)
+        return tuple(results)
 
 
 # --- public operations --------------------------------------------------------
@@ -492,8 +482,8 @@ def run(
     """Iterate assignment and update from the seeded centroids to a fixed point.
 
     Strict mode returns one trace whose outcome is Converged, TieEncountered
-    or IterationCapExceeded.  Branch mode returns one trace per distinct
-    tie-resolution path, deduplicated by partition sequence.
+    or IterationCapExceeded.  Branch mode returns one trace per
+    tie-resolution path; distinct paths walk distinct partition sequences.
     """
     engine = LineEngine(points)
     if policy is TiePolicy.STRICT:

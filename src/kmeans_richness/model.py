@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?\Z")
@@ -32,6 +34,8 @@ class NonPositiveDistanceError(ValueError):
 
 
 def _coerce_rational(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass int, str or Fraction")
     if isinstance(value, str):
@@ -59,7 +63,12 @@ def format_rational(value) -> str:
 
 @dataclass(frozen=True)
 class DistanceConfig:
-    """k intra-pair distances ``a`` and k-1 gaps ``p``, all positive."""
+    """k intra-pair distances ``a`` and k-1 gaps ``p``, all positive.
+
+    ``_ints`` is the same config as integers over one denominator: (a
+    numerators, p numerators, den), with den the lcm of the entries'
+    denominators.  It is not a field, so eq, hash and repr ignore it.
+    """
 
     a: tuple[Fraction, ...]
     p: tuple[Fraction, ...]
@@ -73,9 +82,13 @@ class DistanceConfig:
             raise ValueError("need at least one intra-pair distance")
         if len(p) != len(a) - 1:
             raise ValueError(f"expected {len(a) - 1} gaps for k={len(a)}, got {len(p)}")
-        for value in a + p:
-            if value <= 0:
-                raise NonPositiveDistanceError(f"non-positive distance {value}")
+        values = a + p
+        den = lcm(*(x.denominator for x in values))
+        nums = [x.numerator * (den // x.denominator) for x in values]
+        if min(nums) <= 0:
+            first = next(x for x, num in zip(values, nums) if num <= 0)
+            raise NonPositiveDistanceError(f"non-positive distance {first}")
+        object.__setattr__(self, "_ints", (tuple(nums[: len(a)]), tuple(nums[len(a) :]), den))
 
     @property
     def k(self) -> int:
@@ -136,7 +149,8 @@ def validate(cfg: DistanceConfig) -> ValidityReport:
 
 def _require_valid(cfg: DistanceConfig) -> None:
     """Raise ValueError naming the failing gaps unless ``cfg`` is valid."""
-    if not is_valid(cfg.a, cfg.p):
+    a, p, _den = cfg._ints
+    if not is_valid(a, p):
         gaps = list(validate(cfg).violations)
         raise ValueError(f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps {gaps}")
 
@@ -182,12 +196,9 @@ class PointSet:
 
 def embed(cfg: DistanceConfig) -> PointSet:
     """Lay out the 2k points with the first at 0, alternating a_j and p_j."""
-    pos = [Fraction(0)]
-    for j in range(cfg.k):
-        pos.append(pos[-1] + cfg.a[j])
-        if j < cfg.k - 1:
-            pos.append(pos[-1] + cfg.p[j])
-    return PointSet(tuple(pos))
+    a, p, den = cfg._ints
+    gaps = [d for pair in zip(a, p) for d in pair] + [a[-1]]
+    return PointSet(tuple(Fraction(x, den) for x in accumulate(gaps, initial=0)))
 
 
 def canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:

@@ -459,10 +459,13 @@ def _diff(rebuilt, recorded, path: str, problems: list[str]) -> None:
     """Append one line per path where ``recorded`` differs from ``rebuilt``.
 
     Leaves must match in type as well as value, so ``1`` is not ``true``.
+    A recorded key that is not an identifier is shown quoted, so that each
+    problem stays on one line.
     """
     if isinstance(rebuilt, dict) and isinstance(recorded, dict):
         for key in sorted(rebuilt.keys() | recorded.keys(), key=str):
-            where = f"{path}.{key}" if path else str(key)
+            name = key if key.isidentifier() else json.dumps(key)
+            where = f"{path}.{name}" if path else name
             if key not in recorded:
                 problems.append(f"{where}: missing from the certificate")
             elif key not in rebuilt:
@@ -616,6 +619,9 @@ def sample_config(
     shift = 32 - bound.bit_length()
     limit = bound << shift  # a word is kept iff below this
     target = None if spec.target == "all-valid" else CaseLabel.parse(spec.target)
+    # ``label.matches(target)`` inlined on the target's parts: ``label_of``
+    # returns shared labels, so a valid draw builds no label
+    tag, mirrored, param = (target.tag, target.mirrored, target.param) if target else (None,) * 3
     is_valid, label_of = model.is_valid, cases.label_of
     start = rng.getstate()
     fetched = 0  # words fetched before the current batch
@@ -637,7 +643,9 @@ def sample_config(
                     label = label_of(a, p)
                 except cases.ClassificationTieError:
                     continue
-                if target is not None and not label.matches(target):
+                if target is not None and (
+                    label.tag != tag or label.mirrored != mirrored or param not in (None, label.param)
+                ):
                     continue
             _replay(rng, start, fetched + _words_spanned(words, limit, end - carried))
             den = spec.denominator

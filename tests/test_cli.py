@@ -347,6 +347,20 @@ class TestCertifyCommand:
         assert code == 1
         assert "check failed" in err
 
+    @pytest.mark.parametrize("key", ["two\nlines", "\x85", "\u2028", ""])
+    def test_check_added_key_stays_on_one_line(self, capsys, tmp_path, key):
+        cert_path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", "a=1,3,3,1; p=2,2,2", "--output", str(cert_path))
+        data = json.loads(cert_path.read_text())
+        data["oracle"][key] = None
+        cert_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "certify", "--check", str(cert_path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"check failed: oracle.{json.dumps(key)}: not part of a rebuilt certificate"
+        ]
+
     def test_check_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", "--check", str(tmp_path))
         assert code == 2
