@@ -9,7 +9,7 @@ strict ``simulate`` run that reports a tie on stdout.
 
 ``certify --check`` files are real certificates (k <= 5), then maybe edited
 or garbled; exit 1 is allowed only with ``check failed:`` lines, and exit 0
-only for a file that some builder gives for its config.
+only for a file that the program itself makes for its config.
 ``verify`` options are drawn with k <= 5, at most 2 samples and bound <= 60;
 exit 1 is allowed only when the report holds violations, and only below
 k=4, where the paper makes no claim; exit 0 may print region warnings.
@@ -237,7 +237,7 @@ def _without_config(value):
 
 
 def _genuine(config):
-    """Every certificate of this config that a builder gives, without the config."""
+    """Every certificate the program makes for this config, without the config."""
     cfg = model.config_from_dict(config)
     certs = [verify.exists_failing_seeding(cfg, traces) for traces in (False, True)]
     certs += [
@@ -253,7 +253,7 @@ def assert_checked(code, out, err, original, data):
         assert (code, err) == (0, ""), err
     if code == 0:
         assert err == "" and "certificate checks out" in out
-        # an edit may only pass by leaving a certificate that a builder gives,
+        # an edit may only pass by leaving a certificate the program makes,
         # for example by dropping every trace
         assert _canonical(_without_config(data)) in _genuine(data["config"])
     elif code == 1:
