@@ -36,6 +36,14 @@ def configs(min_k=1, max_k=7):
     return raw_configs(1, min_k, max_k).map(lambda ap: DistanceConfig(*ap))
 
 
+@st.composite
+def valid_configs(draw, min_k=4, max_k=7):
+    """Valid by construction: each p_j is |a_j - a_(j+1)|/2 plus a positive entry."""
+    a, _p = draw(raw_configs(1, min_k, max_k))
+    p = tuple(abs(x - y) / 2 + draw(entries(1)) for x, y in zip(a, a[1:]))
+    return DistanceConfig(a, p)
+
+
 # --- plain Fraction references ---------------------------------------------------
 
 
@@ -105,7 +113,7 @@ def test_require_valid_matches_validate(cfg):
 
 
 @settings(max_examples=400, deadline=None)
-@given(configs(min_k=4, max_k=7))
+@given(st.one_of(configs(min_k=4, max_k=7), valid_configs()))
 def test_classify_matches_fraction_labels(cfg):
     got = outcome(cases.classify, cfg)
     if validate(cfg).valid:
