@@ -111,14 +111,10 @@ def _shape(left, gap, right, ties: tuple[str, str, str]) -> str | None:
 _LEFT_END = ("a1 = p12", "p12 = a2", "a1 = (2*p12+a2)/3")
 _RIGHT_END = ("a4 = p34", "p34 = a3", "a4 = (2*p34+a3)/3")
 _MIDDLE = ("a2 = p23", "p23 = a3", "a2 = (2*p23+a3)/3")
-# One shared label per k=4 (tag, mirrored), by the shape that decides it.
-_END_LABELS = {shape: CaseLabel("A" + shape) for shape in ("A", "B", "CA", "CB")}
-_MIRRORED_END_LABELS = {shape: CaseLabel("A" + shape, True) for shape in _END_LABELS}
 # The ADC split names its sides the other way round from the ends' AC split.
-_MIDDLE_LABELS = {
-    shape: CaseLabel(tag)
-    for shape, tag in {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}.items()
-}
+_MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}
+# One shared label per (tag, mirrored, param).
+_shared_label = cache(CaseLabel)
 
 
 def _label4(a, p) -> CaseLabel:
@@ -130,15 +126,11 @@ def _label4(a, p) -> CaseLabel:
     p12, p23, p34 = p
     shape = _shape(a1, p12, a2, _LEFT_END)
     if shape is not None:
-        return _END_LABELS[shape]
+        return _shared_label("A" + shape)
     shape = _shape(a4, p34, a3, _RIGHT_END)
     if shape is not None:
-        return _MIRRORED_END_LABELS[shape]
-    return _MIDDLE_LABELS[_shape(a2, p23, a3, _MIDDLE)]
-
-
-# One shared label per (tag, mirrored, param) at k > 4.
-_shared_label = cache(CaseLabel)
+        return _shared_label("A" + shape, mirrored=True)
+    return _shared_label(_MIDDLE_TAGS[_shape(a2, p23, a3, _MIDDLE)])
 
 
 def _label_k(a, p) -> CaseLabel:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
 from typing import Sequence
 
-from .model import Partition, PointSet, Seeding
+from .model import Partition, PointSet, Seeding, _over_lcm
 
 DEFAULT_CAP = 10_000
 DEFAULT_BRANCH_LIMIT = 10_000
@@ -141,11 +140,6 @@ class LloydTrace:
 
 class EngineInvariantError(AssertionError):
     """Centroid ordering broke; indicates a bug, not bad input."""
-
-
-def _scaled_positions(positions: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    den = lcm(*(x.denominator for x in positions))
-    return tuple(x.numerator * (den // x.denominator) for x in positions), den
 
 
 def _boundary(xs: Sequence[int], s1: int, c1: int, s2: int, c2: int) -> int:
@@ -287,7 +281,7 @@ class LineEngine:
 
     def __init__(self, points: PointSet):
         self.points = points
-        self._xs, self._den = _scaled_positions(points.positions)
+        self._xs, self._den = _over_lcm(points.positions)
         self._prefix = [0, *accumulate(self._xs)]
         self._table: dict[tuple[int, int, int], int] = {}
 
@@ -457,7 +451,7 @@ def _scaled(
     points: PointSet, centroids: Centroids
 ) -> tuple[tuple[int, ...], list[tuple[int, int]], int]:
     """Points and centroids on one integer scale: (xs, (s, 1) centroids, den)."""
-    xs, den = _scaled_positions(points.positions + centroids.values)
+    xs, den = _over_lcm(points.positions + centroids.values)
     return xs[: points.n], [(x, 1) for x in xs[points.n :]], den
 
 

@@ -56,6 +56,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(token))
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``values`` as integer numerators over one denominator, the lcm of theirs."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 def format_rational(value) -> str:
     """Canonical ``num/den`` (or plain integer) rendering."""
     return str(_coerce_rational(value))
@@ -82,13 +88,11 @@ class DistanceConfig:
             raise ValueError("need at least one intra-pair distance")
         if len(p) != len(a) - 1:
             raise ValueError(f"expected {len(a) - 1} gaps for k={len(a)}, got {len(p)}")
-        values = a + p
-        den = lcm(*(x.denominator for x in values))
-        nums = [x.numerator * (den // x.denominator) for x in values]
+        nums, den = _over_lcm(a + p)
         if min(nums) <= 0:
-            first = next(x for x, num in zip(values, nums) if num <= 0)
+            first = next(x for x, num in zip(a + p, nums) if num <= 0)
             raise NonPositiveDistanceError(f"non-positive distance {first}")
-        object.__setattr__(self, "_ints", (tuple(nums[: len(a)]), tuple(nums[len(a) :]), den))
+        object.__setattr__(self, "_ints", (nums[: len(a)], nums[len(a) :], den))
 
     @property
     def k(self) -> int:

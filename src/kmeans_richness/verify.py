@@ -619,9 +619,6 @@ def sample_config(
     shift = 32 - bound.bit_length()
     limit = bound << shift  # a word is kept iff below this
     target = None if spec.target == "all-valid" else CaseLabel.parse(spec.target)
-    # ``label.matches(target)`` inlined on the target's parts: ``label_of``
-    # returns shared labels, so a valid draw builds no label
-    tag, mirrored, param = (target.tag, target.mirrored, target.param) if target else (None,) * 3
     is_valid, label_of = model.is_valid, cases.label_of
     start = rng.getstate()
     fetched = 0  # words fetched before the current batch
@@ -643,9 +640,7 @@ def sample_config(
                     label = label_of(a, p)
                 except cases.ClassificationTieError:
                     continue
-                if target is not None and (
-                    label.tag != tag or label.mirrored != mirrored or param not in (None, label.param)
-                ):
+                if target is not None and not label.matches(target):
                     continue
             _replay(rng, start, fetched + _words_spanned(words, limit, end - carried))
             den = spec.denominator

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import cases, model
 from kmeans_richness.cases import ClassificationTieError
-from kmeans_richness.lloyd import _scaled_positions
 from kmeans_richness.model import DistanceConfig, NonPositiveDistanceError, embed, validate
 
 
@@ -129,8 +128,8 @@ def test_classify_matches_fraction_labels(cfg):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(entries(-12), min_size=1, max_size=9))
-def test_scaled_positions_match_fraction_products(positions):
-    xs, den = _scaled_positions(positions)
+def test_over_lcm_matches_fraction_products(positions):
+    xs, den = model._over_lcm(positions)
     assert den == lcm(*(x.denominator for x in positions))
     assert all(type(x) is int for x in xs)
     assert [Fraction(x, den) for x in xs] == positions
