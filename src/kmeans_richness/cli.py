@@ -212,6 +212,11 @@ def cmd_probability(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    out_path = _resolve_output(args.output)
+    csv_path = _resolve_output(args.csv) if args.csv else None
+    # realpath, unlike Path.resolve, does not raise on a symlink loop
+    if csv_path is not None and os.path.realpath(csv_path) == os.path.realpath(out_path):
+        raise CliError("--csv names the same file as --output; give them different paths")
     if args.regions == "all":
         regions = verify.default_regions(args.k, args.bound)
     else:
@@ -227,11 +232,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         oracle=not args.no_oracle,
     )
-    out_path = _resolve_output(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(report.to_json() + "\n")
-    if args.csv:
-        csv_path = _resolve_output(args.csv)
+    if csv_path is not None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(report.to_csv())
     if args.format == "json":

@@ -13,12 +13,9 @@ import hashlib
 import io
 import json
 import random
-import sys
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby
+from itertools import combinations, groupby
 from math import comb
 from typing import Sequence
 
@@ -35,13 +32,9 @@ SEMANTICS_ORACLE = "oracle-only"
 
 DEFAULT_MAX_REJECTIONS = 10**6
 TIE_RETRIES = 50
-# Largest bound whose randint draw is one 32-bit Mersenne Twister word.
+# Largest bound whose randint draw is one 32-bit Mersenne Twister word; the
+# sampler's reference tests cover bounds up to it.
 _MAX_BOUND = 2**32 - 1
-# Words per fetch in sample_config: the first fetch, the cap on the doubling
-# that follows, and the most ``getrandbits`` draws at once when advancing.
-_FIRST_BATCH = 64
-_MAX_BATCH = 256
-_ADVANCE_WORDS = 1 << 16
 
 
 class RegionExhaustedError(RuntimeError):
@@ -566,34 +559,6 @@ class RegionSpec:
         return f"k={self.k}:{self.target}"
 
 
-def _words(rng: random.Random, count: int) -> array:
-    """The generator's next ``count`` 32-bit outputs, in order.
-
-    ``getrandbits`` packs its words least significant first, so the
-    little-endian bytes of the result are the words in the order drawn.
-    """
-    words = array("I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _words_spanned(words: array, limit: int, kept: int) -> int:
-    """How many leading ``words`` hold the first ``kept`` (>= 1) kept numerators;
-    a word is kept when below ``limit``."""
-    return bisect_left(list(accumulate(map(limit.__gt__, words))), kept) + 1
-
-
-def _replay(rng: random.Random, state: tuple, words: int) -> None:
-    """Set ``rng`` to ``state``, then draw and drop ``words`` 32-bit outputs,
-    at most ``_ADVANCE_WORDS`` per ``getrandbits`` call."""
-    rng.setstate(state)
-    while words > 0:
-        step = min(words, _ADVANCE_WORDS)
-        rng.getrandbits(32 * step)
-        words -= step
-
-
 def sample_config(
     spec: RegionSpec,
     rng: random.Random,
@@ -604,54 +569,36 @@ def sample_config(
     A draw is ``randint(1, bound)`` for each a, then each p.  Validity and the
     label are tested on these numerators; only the accepted draw is divided.
 
-    The numerators are read from the raw Mersenne Twister words, as
-    ``randint`` reads them for a bound below 2**32: with m the bound's bit
-    length, a word's top m bits, kept when below the bound, plus 1.  Words
-    are fetched in growing batches; on return, and on exhaustion, the
-    generator is reset and advanced by exactly the words those
-    ``randint`` calls would have used, so it ends where they leave it.
+    Each numerator is read as ``randint`` reads it: ``getrandbits(m)``, with
+    m the bound's bit length, retried until below the bound, plus 1.  The
+    generator therefore ends where those ``randint`` calls leave it.
     """
     if type(rng) is not random.Random:
         raise TypeError(f"sample_config needs a random.Random, got {type(rng).__name__}")
     k = spec.k
     width = 2 * k - 1
     bound = spec.bound
-    shift = 32 - bound.bit_length()
-    limit = bound << shift  # a word is kept iff below this
+    bits = bound.bit_length()
+    getrandbits = rng.getrandbits
     target = None if spec.target == "all-valid" else CaseLabel.parse(spec.target)
     is_valid, label_of = model.is_valid, cases.label_of
-    start = rng.getstate()
-    fetched = 0  # words fetched before the current batch
-    size = _FIRST_BATCH
-    values: list[int] = []  # numerators not yet cut into draws
-    left = max_rejections
-    while left > 0:
-        words = _words(rng, size)
-        batch = [v + 1 for w in words if (v := w >> shift) < bound]
-        values += batch
-        carried = len(values) - len(batch)  # < width: each draw below ends in this batch
-        draws = min(len(values) // width, left)
-        for end in range(width, draws * width + 1, width):
-            a, p = values[end - width : end - k + 1], values[end - k + 1 : end]
-            if not is_valid(a, p):
+    for _ in range(max_rejections):
+        values = [v + 1 for _ in range(width) if (v := getrandbits(bits)) < bound]
+        while len(values) < width:
+            if (v := getrandbits(bits)) < bound:
+                values.append(v + 1)
+        a, p = values[:k], values[k:]
+        if not is_valid(a, p):
+            continue
+        if k >= 4:
+            try:
+                label = label_of(a, p)
+            except cases.ClassificationTieError:
                 continue
-            if k >= 4:
-                try:
-                    label = label_of(a, p)
-                except cases.ClassificationTieError:
-                    continue
-                if target is not None and not label.matches(target):
-                    continue
-            _replay(rng, start, fetched + _words_spanned(words, limit, end - carried))
-            den = spec.denominator
-            return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
-        left -= draws
-        if left > 0:
-            del values[: draws * width]
-            fetched += size
-            size = min(2 * size, _MAX_BATCH)
-    if max_rejections > 0:  # end where the last rejected draw ends
-        _replay(rng, start, fetched + _words_spanned(words, limit, draws * width - carried))
+            if target is not None and not label.matches(target):
+                continue
+        den = spec.denominator
+        return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
     raise RegionExhaustedError(
         f"no config for region {spec.name} in {max_rejections} draws at bound {spec.bound};"
         " raise the bound"

@@ -187,6 +187,19 @@ class TestVerifyCommand:
         assert lines[0].startswith("region,samples,holds")
         assert lines[1].startswith("k=4:AA,")
 
+    @pytest.mark.parametrize("csv", ["r.json", "./r.json"])
+    def test_csv_and_report_same_file_rejected(self, capsys, tmp_path, monkeypatch, csv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--k", "4", "--regions", "AA", "--samples", "1",
+            "--output", "r.json", "--csv", csv,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_violations_exit_1(self, capsys, tmp_path):
         # k=2 makes no adversarial claim: every seeding reaches the pairing
         code, _, _ = run_cli(

@@ -302,7 +302,8 @@ OUTPUTS = st.sampled_from(
     ["report.json", "nested/report.json", "report.json", "", ".", "report.json/inner.json"]
 )
 CSV_OUTPUTS = st.sampled_from(
-    ["summary.csv", "nested/summary.csv", "summary.csv", "", ".", "report.json/inner.csv"]
+    ["summary.csv", "nested/summary.csv", "summary.csv", "", ".", "report.json/inner.csv",
+     "report.json", "./nested/report.json"]
 )
 
 
@@ -350,11 +351,14 @@ def test_verify_options_fail_cleanly(tmp_path, monkeypatch, args):
     monkeypatch.setitem(verify.campaign.__kwdefaults__, "max_rejections", 2_000)
     monkeypatch.setenv("KMEANS_RICHNESS_OUTDIR", str(tmp_path))
     code, out, err = run_main(*args)
+    output = next(arg for arg in args if arg.startswith("--output=")).removeprefix("--output=")
+    csv = next((arg.removeprefix("--csv=") for arg in args if arg.startswith("--csv=")), "")
+    if csv and (tmp_path / csv).resolve() == (tmp_path / output).resolve():
+        assert code == 2, (code, err)  # one file for both would lose the report
     if code == 2:
         assert_clean(code, out, err)
         return
     assert all(line.startswith("    warning: ") for line in err.splitlines()), err
-    output = next(arg for arg in args if arg.startswith("--output=")).removeprefix("--output=")
     report = json.loads((tmp_path / output).read_text())
     assert code == (1 if report["violation_count"] else 0), (code, err)
     if code == 1:

@@ -1,7 +1,7 @@
 """Integer-native sampling and classification against slow Fraction references.
 
 The sampler and the case analysis work on the raw ``randint`` numerators,
-which the sampler reads straight from the Mersenne Twister words.  The
+which the sampler reads with ``getrandbits`` as ``randint`` does.  The
 references below are the straightforward versions: ``randint`` per entry,
 one ``Fraction`` config per draw, thresholds as ``(2*gap + right)/3``, and
 every comparison made on fractions.  For the same RNG they must pick the
@@ -21,7 +21,6 @@ from kmeans_richness.model import DistanceConfig
 from kmeans_richness.verify import (
     RegionExhaustedError,
     RegionSpec,
-    _words,
     default_regions,
     sample_config,
 )
@@ -167,11 +166,12 @@ def test_all_valid_small_k_matches_reference():
             )
 
 
-@pytest.mark.parametrize("max_rejections", [1, 7, 300])
+@pytest.mark.parametrize("max_rejections", [0, 1, 7, 300])
 @pytest.mark.parametrize("bound", [64, 255, 1000])
 @pytest.mark.parametrize("k", [4, 7, 8])
 def test_sampler_matches_reference_past_one_byte(k, bound, max_rejections):
-    """Power-of-two and multi-byte bounds, exhaustion part-way into a fetch."""
+    """Power-of-two and multi-byte bounds, and exhaustion after 0, 1, 7 or
+    300 draws; a zero budget reads nothing from the generator."""
     for index, region in enumerate(default_regions(k, bound)):
         spec = RegionSpec(k=k, target=region.target, bound=bound)
         seed = 7919 * k + 31 * index + bound + max_rejections
@@ -204,25 +204,28 @@ def test_sampler_needs_a_plain_random():
             sample_config(spec, rng)
 
 
-# --- the word stream is randint's ---------------------------------------------
+# --- the sampler's read is randint's -------------------------------------------
 
 
 def _stream(rng, bound, count):
-    """The first ``count`` values ``randint(1, bound)`` would give, read from
-    the words as ``sample_config`` reads them."""
-    shift = 32 - bound.bit_length()
+    """The next ``count`` numerators as ``sample_config`` reads them:
+    ``getrandbits`` of the bound's bit length, retried until below the bound,
+    plus 1."""
+    bits = bound.bit_length()
     values = []
     while len(values) < count:
-        values += [(w >> shift) + 1 for w in _words(rng, count) if w >> shift < bound]
-    return values[:count]
+        if (v := rng.getrandbits(bits)) < bound:
+            values.append(v + 1)
+    return values
 
 
 @pytest.mark.parametrize("bound", [2, 3, 4, 12, 50, 64, 255, 1000, 2**31, 2**32 - 1])
 def test_word_stream_is_randint(bound):
     """Guards the sampler against a change in how ``randint`` reads the generator."""
-    rng = random.Random(bound)
+    rng, read = random.Random(bound), random.Random(bound)
     expected = [rng.randint(1, bound) for _ in range(20_000)]
-    assert _stream(random.Random(bound), bound, 20_000) == expected
+    assert _stream(read, bound, 20_000) == expected
+    assert read.getstate() == rng.getstate()
 
 
 # --- classification: integer core vs fractions --------------------------------
