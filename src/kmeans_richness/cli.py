@@ -70,6 +70,14 @@ def _resolve_output(path_text: str) -> Path:
     return Path(base) / path if base else path
 
 
+def _check_writable(path: Path) -> None:
+    """Fail before any work if ``path`` cannot be a file: it is a directory,
+    or lies under a regular file (``mkdir`` raises)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise CliError(f"{path} is a directory")
+
+
 def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
@@ -226,16 +234,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         regions = tuple(
             verify.RegionSpec(k=args.k, target=target, bound=args.bound) for target in targets
         )
+    if args.samples < 1:
+        raise CliError("--samples must be >= 1")
+    for path in (out_path, csv_path):
+        if path is not None:
+            _check_writable(path)
     report = verify.campaign(
         regions,
         samples_per_region=args.samples,
         rng_seed=args.seed,
         oracle=not args.no_oracle,
     )
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(report.to_json() + "\n")
     if csv_path is not None:
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(report.to_csv())
     if args.format == "json":
         _emit_json(report.to_dict())
@@ -334,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (  # ValueError includes ConfigParseError and NonPositiveDistanceError
         CliError, ValueError, ArithmeticError, OSError,
-        cases.ClassificationTieError, lloyd.TieError, lloyd.BranchLimitError,
+        cases.ClassificationTieError, lloyd.BranchLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,9 @@ every resolution.
 
 Internally the iteration runs on integer coordinates obtained by clearing
 denominators (partition sequences are scale-invariant), with centroids kept
-as exact ``(sum, count)`` pairs; traces expose them as Fractions.
+as exact ``(sum, count)`` pairs; traces expose them as Fractions.  The public
+``assign`` and ``update`` are the plain-Fraction definition of one step,
+the reference the integer core is tested against.
 """
 
 from __future__ import annotations
@@ -35,14 +37,10 @@ class TiePolicy(Enum):
 class TieError(Exception):
     """A point is exactly equidistant from its nearest centroids."""
 
-    def __init__(self, point_index: int, clusters: Sequence[int], step_index: int | None = None):
+    def __init__(self, point_index: int, clusters: Sequence[int]):
         self.point_index = point_index  # 1-based
         self.clusters = tuple(clusters)
-        self.step_index = step_index
-        where = f" at step {step_index}" if step_index is not None else ""
-        super().__init__(
-            f"point {point_index} equidistant from clusters {list(self.clusters)}{where}"
-        )
+        super().__init__(f"point {point_index} equidistant from clusters {list(self.clusters)}")
 
 
 class BranchLimitError(RuntimeError):
@@ -187,50 +185,6 @@ def _labels(cuts: Sequence[int], n: int) -> tuple[int, ...]:
         labels += [j] * (hi - lo)
         lo = hi
     return tuple(labels)
-
-
-def _choice_sets(xs: Sequence[int], cents: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Per point, every cluster id at minimal distance (branch mode)."""
-    out = []
-    for x in xs:
-        best_n = best_d = 0
-        ids: list[int] = []
-        for j, (s, c) in enumerate(cents):
-            n = abs(x * c - s)
-            if not ids:
-                best_n, best_d, ids = n, c, [j]
-                continue
-            lhs = n * best_d
-            rhs = best_n * c
-            if lhs < rhs:
-                best_n, best_d, ids = n, c, [j]
-            elif lhs == rhs:
-                ids.append(j)
-        out.append(ids)
-    return out
-
-
-def _update_cents(
-    xs: Sequence[int],
-    labels: Sequence[int],
-    prev: Sequence[tuple[int, int]],
-) -> tuple[list[tuple[int, int]], tuple[bool, ...]]:
-    k = len(prev)
-    sums = [0] * k
-    counts = [0] * k
-    for x, label in zip(xs, labels):
-        sums[label] += x
-        counts[label] += 1
-    cents = []
-    empty = []
-    for j in range(k):
-        if counts[j]:
-            cents.append((sums[j], counts[j]))
-            empty.append(False)
-        else:
-            cents.append(prev[j])
-            empty.append(True)
-    return cents, tuple(empty)
 
 
 _RawStep = tuple[list[tuple[int, int]], tuple[bool, ...], tuple[int, ...] | None]
@@ -418,41 +372,22 @@ def seed_centroids(points: PointSet, seeding: Seeding) -> Centroids:
     return Centroids(tuple(points.position(i) for i in seeding.indices))
 
 
-def assign(
-    points: PointSet,
-    centroids: Centroids,
-    policy: TiePolicy = TiePolicy.STRICT,
-) -> Partition | tuple[Partition, ...]:
-    """Label every point with its nearest centroid.
+def assign(points: PointSet, centroids: Centroids) -> Partition:
+    """Label every point with its strictly nearest centroid.
 
     All centroids compete, including flagged-empty ones (they retain their
-    positions).  Strict mode raises :class:`TieError` on an exact
-    nearest-distance tie; branch mode returns every distinct labeling over
-    all tie resolutions, lowest cluster id first.
+    positions).  An exact nearest-distance tie raises :class:`TieError` with
+    the first tied point and every cluster at its minimal distance.
     """
-    xs, cents, _den = _scaled(points, centroids)
-    sets = _choice_sets(xs, cents)
-    if policy is TiePolicy.STRICT:
-        labels = []
-        for i, ids in enumerate(sets):
-            if len(ids) > 1:
-                raise TieError(i + 1, ids)
-            labels.append(ids[0])
-        return Partition(tuple(labels))
-    total = 1
-    for ids in sets:
-        total *= len(ids)
-    if total > DEFAULT_BRANCH_LIMIT:
-        raise BranchLimitError(f"{total} tie resolutions exceed the branch budget")
-    return tuple(Partition(combo) for combo in product(*sets))
-
-
-def _scaled(
-    points: PointSet, centroids: Centroids
-) -> tuple[tuple[int, ...], list[tuple[int, int]], int]:
-    """Points and centroids on one integer scale: (xs, (s, 1) centroids, den)."""
-    xs, den = _over_lcm(points.positions + centroids.values)
-    return xs[: points.n], [(x, 1) for x in xs[points.n :]], den
+    labels = []
+    for i, x in enumerate(points.positions, 1):
+        dists = [abs(x - c) for c in centroids.values]
+        best = min(dists)
+        ids = [j for j, d in enumerate(dists) if d == best]
+        if len(ids) > 1:
+            raise TieError(i, ids)
+        labels.append(ids[0])
+    return Partition(tuple(labels))
 
 
 def update(points: PointSet, partition: Partition, previous: Centroids) -> Centroids:
@@ -462,9 +397,13 @@ def update(points: PointSet, partition: Partition, previous: Centroids) -> Centr
         raise ValueError(f"partition covers {len(labels)} points, point set has {points.n}")
     if any(label >= previous.k for label in labels):
         raise ValueError("partition labels exceed centroid count")
-    xs, prev, den = _scaled(points, previous)
-    cents, empty = _update_cents(xs, labels, prev)
-    return Centroids(tuple(Fraction(s, c * den) for s, c in cents), empty)
+    blocks: list[list[Fraction]] = [[] for _ in range(previous.k)]
+    for x, label in zip(points.positions, labels):
+        blocks[label].append(x)
+    return Centroids(
+        tuple(sum(block) / len(block) if block else v for block, v in zip(blocks, previous.values)),
+        tuple(not block for block in blocks),
+    )
 
 
 def run(

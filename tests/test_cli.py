@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kmeans_richness import lloyd
+from kmeans_richness import lloyd, verify
 from kmeans_richness.cli import main
 
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
@@ -164,12 +164,14 @@ class TestVerifyCommand:
         assert {r["target"] for r in data["regions"]} == {"AA", "ADD"}
 
     def test_byte_identical_reports_for_same_seed(self, capsys, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
+        # the second run also checks a CSV path and makes both directories first
+        paths = [tmp_path / "a.json", tmp_path / "new" / "b.json"]
+        extra = [(), ("--csv", str(tmp_path / "other" / "b.csv"))]
+        for path, more in zip(paths, extra):
             code, _, _ = run_cli(
                 capsys,
                 "verify", "--k", "4", "--regions", "AA,AB", "--samples", "3",
-                "--seed", "42", "--output", str(path),
+                "--seed", "42", "--output", str(path), *more,
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -264,14 +266,35 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_output_is_a_directory(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "output, csv",
+        [(".", None), ("r.json", "."), ("plain/r.json", None), ("r.json", "plain/r.csv")],
+        ids=["output_is_a_directory", "csv_is_a_directory", "output_under_a_file",
+             "csv_under_a_file"],
+    )
+    def test_unwritable_path_fails_before_sampling(self, capsys, tmp_path, monkeypatch, output, csv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output paths were checked")
+
+        monkeypatch.setattr(verify, "campaign", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plain").write_text("")
+        argv = ["verify", "--k", "4", "--regions", "AA", "--samples", "1", "--output", output]
+        code, out, err = run_cli(capsys, *argv, *(("--csv", csv) if csv else ()))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["plain"]  # no report written
+
+    def test_samples_below_one_makes_no_directory(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
-            "verify", "--k", "4", "--regions", "AA", "--samples", "1",
-            "--output", str(tmp_path),
+            "verify", "--k", "4", "--regions", "AA", "--samples", "0",
+            "--output", str(tmp_path / "new" / "r.json"),
         )
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: --samples must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KMEANS_RICHNESS_OUTDIR", str(tmp_path))

@@ -63,8 +63,19 @@ def tie_prone_config(rng, k):
     )
 
 
+def branch_assign(points, centroids):
+    """Every labeling over all nearest-distance tie resolutions, lowest cluster
+    id first: the label-space definition of a branch-mode assignment."""
+    choices = []
+    for x in points.positions:
+        dists = [abs(x - c) for c in centroids.values]
+        best = min(dists)
+        choices.append([j for j, d in enumerate(dists) if d == best])
+    return [Partition(labels) for labels in itertools.product(*choices)]
+
+
 def reference_branch(points, seeding, cap=DEFAULT_CAP):
-    """Branch mode in label space, on the public assign and update.
+    """Branch mode in label space, on ``branch_assign`` and the public update.
 
     Every tie resolution is followed, lowest cluster id first; a run stops
     when a labeling repeats or at the cap, and runs that walked the same
@@ -76,7 +87,7 @@ def reference_branch(points, seeding, cap=DEFAULT_CAP):
         if depth == cap:
             results.append(LloydTrace(seeding, tuple(steps), IterationCapExceeded(cap)))
             return
-        for part in assign(points, cents, TiePolicy.BRANCH):
+        for part in branch_assign(points, cents):
             if len(results) >= lloyd.DEFAULT_BRANCH_LIMIT:
                 raise BranchLimitError("reference branch budget")
             branch = [*steps, LloydStep(cents, part)]
@@ -147,12 +158,12 @@ class TestAssign:
 
     def test_branch_mode_enumerates_resolutions(self):
         points = PointSet((0, 1, 2))
-        branches = assign(points, Centroids((0, 2)), TiePolicy.BRANCH)
+        branches = branch_assign(points, Centroids((0, 2)))
         assert [b.labels for b in branches] == [(0, 0, 1), (0, 1, 1)]
 
     def test_branch_mode_without_ties_is_single(self):
         points = PointSet((0, 1, 3, 6, 8, 11, 13, 14))
-        branches = assign(points, Centroids((1, 6, 8, 13)), TiePolicy.BRANCH)
+        branches = branch_assign(points, Centroids((1, 6, 8, 13)))
         assert len(branches) == 1
         assert branches[0].labels == (0, 0, 0, 1, 2, 3, 3, 3)
 
@@ -464,19 +475,27 @@ class TestTraceInvariants:
         assert checked > 50
 
     def test_engine_steps_match_public_assign(self):
-        # the scaled integer core and the generic Fraction path must agree
+        # the scaled integer core and the plain Fraction reference must agree,
+        # down to the point and clusters a tie reports
         rng = random.Random(16)
-        for _ in range(100):
-            cfg = random_config(rng)
+        ties = late_ties = 0
+        for i in range(1100):
+            cfg = random_config(rng) if i < 100 else tie_prone_config(rng, rng.randint(1, 6))
             points = embed(cfg)
             trace = run(points, random_seeding(rng, cfg.k))
             for step in trace.steps:
-                if step.partition is None:
-                    with pytest.raises(TieError):
-                        assign(points, step.centroids)
-                else:
+                if step.partition is not None:
                     assert assign(points, step.centroids).labels == step.partition.labels
-
+                    continue
+                with pytest.raises(TieError) as info:
+                    assign(points, step.centroids)
+                tie = trace.outcome
+                assert isinstance(tie, TieEncountered) and tie.step_index == len(trace.steps) - 1
+                assert info.value.point_index == tie.point_index
+                assert info.value.clusters == tie.clusters
+                ties += 1
+                late_ties += tie.step_index > 0
+        assert ties > 200 and late_ties > 50
 
     def test_engine_updates_match_public_update(self):
         # frozen empty-cluster centroids included: this config empties clusters
