@@ -1,5 +1,6 @@
 """Certification, exhaustive search, probabilities, sampling, campaigns."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from kmeans_richness.model import (
     DistanceConfig,
     embed,
     is_valid,
+    parse_config,
     scale_config,
     target_partition,
     validate,
@@ -253,6 +255,53 @@ class TestCertifyConfig:
         data = json.loads(wide.to_json())
         data["oracle"]["failing_seeding"] = [1, 3]
         assert recheck_certificate(data)
+
+
+# config -> SHA-256 of certify_config's JSON without traces, then with traces
+CERTIFICATE_SHA256 = {
+    "a=1,3,3,1; p=2,2,2": (  # AA
+        "439394f2ecf3d12b16d1a1a53fe785194253903358d1db585d7d85e42dc911f9",
+        "30c89c1c137a20230f9a1dce258b1ecc37930eb9cfde8398d7f66dea6dd998a0",
+    ),
+    "a=1,1,1,1; p=3,3,3": (  # ADD
+        "967a847a5b6cb2864e2fb7cc0159296c0a8a3b6de1b070b6be9b01f18f1bf5a0",
+        "e4ae94e7a53fa8df68e7b3ddc41e555baa3aded0447e19f7001c71991ad1581c",
+    ),
+    "a=2,2,1,1; p=1,1,1": (  # tie during candidate {1,3,5,7}
+        "97735e2beaad22d42f55c186181ab329bea4e9e9b5359e174d0f530b49ad95e1",
+        "532c016dd22d80930d348b5e521ac35c11d0f15b3aa06930a3555b2a66097a86",
+    ),
+    "a=2,2,3,1; p=2,2,2": (  # classification tie: nothing to trace
+        "67e58f0e787907fb6a55c0d9d329abb6e46ffb6b7fd64bc9ec09bd38c42a519c",
+        "67e58f0e787907fb6a55c0d9d329abb6e46ffb6b7fd64bc9ec09bd38c42a519c",
+    ),
+    "a=3,3,1,1,1; p=1,4,2,2": (  # UNCLASSIFIED: oracle-only
+        "30fbf3eff7067f1a1cee26e27f4d17cafd31eba4d5d6da83d1f9e18726415ddb",
+        "d771e6ac5259d005ffebfd0b4878f3bd0c55087de167de09570c6d99014a989a",
+    ),
+    "a=1,1; p=10": (  # no plan below k=4, and no failing seeding to trace
+        "ee593a1d5516432ea06252c2e1d71797596f84aa3c36ff6856d13336e1be40a8",
+        "ee593a1d5516432ea06252c2e1d71797596f84aa3c36ff6856d13336e1be40a8",
+    ),
+}
+
+
+class TestCertificateBytes:
+    """Certificate bytes are pinned: a change to how a certificate is built or
+    written that alters its JSON for one of these configs shows here."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("text", list(CERTIFICATE_SHA256))
+    def test_certify_config_sha256(self, text, traced):
+        cert = certify_config(parse_config(text), include_traces=traced)
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == CERTIFICATE_SHA256[text][traced]
+
+    def test_exists_failing_seeding_sha256(self):
+        cert = exists_failing_seeding(parse_config("a=1,3,3,1; p=2,2,2"), True)
+        assert '"witness_trace"' in cert.to_json()
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == "f7fa1b5d5d661d97706573e0e92f022c6aa315f20b5aa321a3bd614928c18254"
 
 
 # (path into the certificate, tampered value); every one must be reported
