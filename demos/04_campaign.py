@@ -38,7 +38,7 @@ print(f"certificate for the all-peaks instance: verdict {cert.verdict}")
 for record in cert.candidates:
     state = "reaches pairing" if record.reached_target else "avoids pairing"
     print(f"  {record.name} {record.seeding}: {state}")
-print(f"oracle witness: {cert.oracle.failing_seeding}, "
+print(f"oracle witness: {cert.oracle.first_failing}, "
       f"success probability {cert.oracle.probability}")
 
 problems = recheck_certificate(json.loads(cert_path.read_text()))

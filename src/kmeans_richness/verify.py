@@ -211,65 +211,48 @@ def richness_violation(cfg: DistanceConfig, epsilon: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One prescribed seeding's run, digested for the certificate."""
+    """One prescribed seeding's run; its certificate fields are read off the trace."""
 
     name: str | None
-    seeding: Seeding
-    outcome_kind: str
-    final_labels: tuple[int, ...] | None
-    reached_target: bool
-    empty_rule_used: bool
-    trace_digest: str
-    trace: LloydTrace | None
+    trace: LloydTrace
+
+    @property
+    def seeding(self) -> Seeding:
+        return self.trace.seeding
+
+    @property
+    def final_labels(self) -> tuple[int, ...] | None:
+        final = self.trace.final_partition
+        return final.labels if final is not None else None
+
+    @property
+    def reached_target(self) -> bool:
+        final = self.trace.final_partition
+        return final is not None and final == model.target_partition(self.seeding.k)
 
     def to_dict(self) -> dict:
-        out = {
+        """The run's certificate fields, without the trace itself."""
+        trace = self.trace
+        final_labels = self.final_labels
+        return {
             "name": self.name,
-            "seeding": list(self.seeding.indices),
-            "outcome": self.outcome_kind,
-            "final_labels": list(self.final_labels) if self.final_labels is not None else None,
+            "seeding": list(trace.seeding.indices),
+            "outcome": trace.outcome.kind,
+            "final_labels": list(final_labels) if final_labels is not None else None,
             "reached_target": self.reached_target,
-            "empty_rule_used": self.empty_rule_used,
-            "trace_digest": self.trace_digest,
+            "empty_rule_used": trace.used_empty_cluster_rule(),
+            "trace_digest": lloyd.trace_digest(trace),
         }
-        if self.trace is not None:
-            out["trace"] = lloyd.trace_to_dict(self.trace)
-        return out
-
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """Exhaustive-search section of a certificate."""
-
-    failing_seeding: Seeding | None
-    reached_count: int
-    failed_count: int
-    tie_count: int
-    cap_count: int
-    total: int
-    probability: Fraction | None
-    empty_rule_used: bool
-    witness_trace: LloydTrace | None
-
-    def to_dict(self) -> dict:
-        out = {
-            "failing_seeding": list(self.failing_seeding.indices) if self.failing_seeding else None,
-            "reached_count": self.reached_count,
-            "failed_count": self.failed_count,
-            "tie_count": self.tie_count,
-            "cap_count": self.cap_count,
-            "total": self.total,
-            "success_probability": str(self.probability) if self.probability is not None else None,
-            "empty_rule_used": self.empty_rule_used,
-        }
-        if self.witness_trace is not None:
-            out["witness_trace"] = lloyd.trace_to_dict(self.witness_trace)
-        return out
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable record that some seeding avoids the pairing partition."""
+    """Machine-checkable record that some seeding avoids the pairing partition.
+
+    ``oracle`` is the survey of every seeding, and ``witness_trace`` the run
+    of its first failing seeding.  With ``traced``, the candidates' traces
+    and the witness trace are written out as well.
+    """
 
     config: DistanceConfig
     label: str | None
@@ -277,38 +260,43 @@ class Certificate:
     candidates: tuple[CandidateRecord, ...]
     verdict: str
     skip_reason: str | None
-    oracle: OracleRecord | None
+    oracle: SeedingSurvey | None
+    witness_trace: LloydTrace | None = None
+    traced: bool = False
 
     def to_dict(self) -> dict:
+        candidates = [c.to_dict() for c in self.candidates]
+        if self.traced:
+            for record, out in zip(self.candidates, candidates):
+                out["trace"] = lloyd.trace_to_dict(record.trace)
+        survey = self.oracle
+        oracle = None
+        if survey is not None:
+            failing, probability = survey.first_failing, survey.probability
+            oracle = {
+                "failing_seeding": list(failing.indices) if failing is not None else None,
+                "reached_count": survey.reached_count,
+                "failed_count": survey.failed_count,
+                "tie_count": survey.tie_count,
+                "cap_count": survey.cap_count,
+                "total": survey.total,
+                "success_probability": str(probability) if probability is not None else None,
+                "empty_rule_used": survey.empty_rule_used,
+            }
+            if self.witness_trace is not None:
+                oracle["witness_trace"] = lloyd.trace_to_dict(self.witness_trace)
         return {
             "config": model.config_to_dict(self.config),
             "label": self.label,
             "semantics": self.semantics,
-            "candidates": [c.to_dict() for c in self.candidates],
+            "candidates": candidates,
             "verdict": self.verdict,
             "skip_reason": self.skip_reason,
-            "oracle": self.oracle.to_dict() if self.oracle is not None else None,
+            "oracle": oracle,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _oracle_record(survey: SeedingSurvey, engine: LineEngine, include_trace: bool) -> OracleRecord:
-    witness = None
-    if include_trace and survey.first_failing is not None:
-        witness = engine.run_strict(survey.first_failing)
-    return OracleRecord(
-        failing_seeding=survey.first_failing,
-        reached_count=survey.reached_count,
-        failed_count=survey.failed_count,
-        tie_count=survey.tie_count,
-        cap_count=survey.cap_count,
-        total=survey.total,
-        probability=survey.probability,
-        empty_rule_used=survey.empty_rule_used,
-        witness_trace=witness,
-    )
 
 
 def certify_config(
@@ -329,68 +317,47 @@ def certify_config(
         except cases.UnclassifiedConfigError:
             pass
         except cases.ClassificationTieError as exc:
-            return Certificate(
-                config=cfg,
-                label=None,
-                semantics=SEMANTICS_ORACLE,
-                candidates=(),
-                verdict=VERDICT_SKIPPED,
-                skip_reason=f"classification tie: {exc.description}",
-                oracle=None,
-            )
-    if plan is None:
-        return exists_failing_seeding(cfg, include_traces)
-
+            reason = f"classification tie: {exc.description}"
+            return Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None)
     engine = LineEngine(model.embed(cfg))
-    target = model.target_partition(cfg.k)
-    candidates: list[CandidateRecord] = []
-    reached_flags: list[bool] = []
-    skip_reason: str | None = None
-    for name, seeding in zip(plan.names, plan.candidates):
-        trace = engine.run_strict(seeding)
-        final = trace.final_partition
-        reached = final == target if final is not None else False
-        candidates.append(
-            CandidateRecord(
-                name=name,
-                seeding=seeding,
-                outcome_kind=trace.outcome.kind,
-                final_labels=final.labels if final is not None else None,
-                reached_target=reached,
-                empty_rule_used=trace.used_empty_cluster_rule(),
-                trace_digest=lloyd.trace_digest(trace),
-                trace=trace if include_traces else None,
-            )
-        )
-        outcome = trace.outcome
-        if isinstance(outcome, lloyd.Converged):
-            reached_flags.append(reached)
-        elif skip_reason is None and isinstance(outcome, lloyd.TieEncountered):
+    if plan is None:
+        label = cases.UNCLASSIFIED if cfg.k >= 4 else None
+        return _oracle_only(cfg, label, engine, include_traces)
+
+    candidates = tuple(
+        CandidateRecord(name, engine.run_strict(seeding))
+        for name, seeding in zip(plan.names, plan.candidates)
+    )
+    reached = [c.reached_target for c in candidates]
+    violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
+    verdict = VERDICT_VIOLATED if violated else VERDICT_HOLDS
+    skip_reason = None
+    stuck = next((c for c in candidates if not c.trace.converged), None)
+    if stuck is not None:
+        verdict, outcome = VERDICT_SKIPPED, stuck.trace.outcome
+        if isinstance(outcome, lloyd.TieEncountered):
             skip_reason = (
-                f"tie during candidate {seeding}: point {outcome.point_index}"
+                f"tie during candidate {stuck.seeding}: point {outcome.point_index}"
                 f" between clusters {list(outcome.clusters)}"
             )
-        elif skip_reason is None:
-            skip_reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
-    if skip_reason is not None:
-        verdict = VERDICT_SKIPPED
-    elif plan.semantics is PlanSemantics.ALL_MUST_FAIL:
-        verdict = VERDICT_HOLDS if not any(reached_flags) else VERDICT_VIOLATED
-    else:
-        verdict = VERDICT_HOLDS if not all(reached_flags) else VERDICT_VIOLATED
+        else:
+            skip_reason = f"candidate {stuck.seeding} hit the iteration cap {DEFAULT_CAP}"
 
-    oracle_rec: OracleRecord | None = None
+    survey = witness = None
     if oracle and verdict != VERDICT_SKIPPED:
         survey = survey_seedings(cfg, _engine=engine)
-        oracle_rec = _oracle_record(survey, engine, include_traces)
+        if include_traces and survey.first_failing is not None:
+            witness = engine.run_strict(survey.first_failing)
     return Certificate(
         config=cfg,
         label=str(plan.label),
         semantics=plan.semantics.value,
-        candidates=tuple(candidates),
+        candidates=candidates,
         verdict=verdict,
         skip_reason=skip_reason,
-        oracle=oracle_rec,
+        oracle=survey,
+        witness_trace=witness,
+        traced=include_traces,
     )
 
 
@@ -406,16 +373,23 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
     the label is None below k=4 or on a classification tie.
     """
     _require_valid(cfg)
-    engine = LineEngine(model.embed(cfg))
-    survey = survey_seedings(cfg, _engine=engine)
     label = None
     if cfg.k >= 4:
         try:
             label = str(cases.classify(cfg))
         except cases.ClassificationTieError:
             pass
+    return _oracle_only(cfg, label, LineEngine(model.embed(cfg)), include_witness_trace)
+
+
+def _oracle_only(
+    cfg: DistanceConfig, label: str | None, engine: LineEngine, traced: bool
+) -> Certificate:
+    """The oracle-only certificate of a valid config, from its survey alone."""
+    survey = survey_seedings(cfg, _engine=engine)
+    failing = survey.first_failing
     skip_reason = None
-    if survey.first_failing is not None:
+    if failing is not None:
         verdict = VERDICT_HOLDS
     elif survey.reached_count and not survey.cap_count:
         verdict = VERDICT_VIOLATED
@@ -428,7 +402,9 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
         candidates=(),
         verdict=verdict,
         skip_reason=skip_reason,
-        oracle=_oracle_record(survey, engine, include_witness_trace),
+        oracle=survey,
+        witness_trace=engine.run_strict(failing) if traced and failing is not None else None,
+        traced=traced,
     )
 
 
@@ -742,7 +718,7 @@ def campaign(
                     violations.append(cert)
                 if cert.oracle is not None:
                     result.oracle_samples += 1
-                    if cert.oracle.failing_seeding is not None:
+                    if cert.oracle.first_failing is not None:
                         result.oracle_failing_found += 1
                     probability = cert.oracle.probability
                     if probability is not None:

@@ -164,19 +164,19 @@ class TestExistsFailingSeeding:
             cfg = sample_config(spec, rng)
             cert = exists_failing_seeding(cfg)
             assert cert.verdict == VERDICT_HOLDS
-            assert cert.oracle.failing_seeding is not None
+            assert cert.oracle.first_failing is not None
 
     def test_two_pair_wide_gap_has_none(self):
         cert = exists_failing_seeding(DistanceConfig((1, 1), (10,)))
         assert cert.verdict == VERDICT_VIOLATED
-        assert cert.oracle.failing_seeding is None
+        assert cert.oracle.first_failing is None
         assert cert.oracle.reached_count == 6
         assert cert.oracle.probability == 1
 
     def test_uniform_peaks_finds_failing(self):
         cert = exists_failing_seeding(DistanceConfig((1, 1, 1, 1), (3, 3, 3)))
         assert cert.verdict == VERDICT_HOLDS
-        assert cert.oracle.failing_seeding is not None
+        assert cert.oracle.first_failing is not None
 
     def test_oracle_consistency_with_plan_results(self):
         rng = random.Random(34)
@@ -187,7 +187,7 @@ class TestExistsFailingSeeding:
             if plan_cert.verdict != VERDICT_HOLDS:
                 continue
             oracle_cert = exists_failing_seeding(cfg)
-            assert oracle_cert.oracle.failing_seeding is not None
+            assert oracle_cert.oracle.first_failing is not None
 
 
 class TestCertifyConfig:
@@ -221,7 +221,7 @@ class TestCertifyConfig:
 
     def test_empty_rule_usage_recorded(self):
         cert = certify_config(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
-        assert all(isinstance(c.empty_rule_used, bool) for c in cert.candidates)
+        assert all(isinstance(c.to_dict()["empty_rule_used"], bool) for c in cert.candidates)
 
     def test_recheck_passes_on_own_output(self):
         add = DistanceConfig((1, 1, 1, 1), (3, 3, 3))
