@@ -277,11 +277,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not args.config:
         raise CliError("certify needs a config (or --check PATH)")
     cfg = _load_config(args.config)
+    out_path = _resolve_output(args.output) if args.output else None
+    if out_path is not None:
+        _check_writable(out_path)
     cert = verify.certify_config(cfg, oracle=True, include_traces=True)
     text = cert.to_json()
-    if args.output:
-        out_path = _resolve_output(args.output)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    if out_path is not None:
         out_path.write_text(text + "\n")
         print(f"certificate written to {out_path}")
     else:

@@ -331,17 +331,17 @@ def certify_config(
     reached = [c.reached_target for c in candidates]
     violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
     verdict = VERDICT_VIOLATED if violated else VERDICT_HOLDS
-    skip_reason = None
+    reason = None
     stuck = next((c for c in candidates if not c.trace.converged), None)
     if stuck is not None:
         verdict, outcome = VERDICT_SKIPPED, stuck.trace.outcome
         if isinstance(outcome, lloyd.TieEncountered):
-            skip_reason = (
+            reason = (
                 f"tie during candidate {stuck.seeding}: point {outcome.point_index}"
                 f" between clusters {list(outcome.clusters)}"
             )
         else:
-            skip_reason = f"candidate {stuck.seeding} hit the iteration cap {DEFAULT_CAP}"
+            reason = f"candidate {stuck.seeding} hit the iteration cap {DEFAULT_CAP}"
 
     survey = witness = None
     if oracle and verdict != VERDICT_SKIPPED:
@@ -349,15 +349,8 @@ def certify_config(
         if include_traces and survey.first_failing is not None:
             witness = engine.run_strict(survey.first_failing)
     return Certificate(
-        config=cfg,
-        label=str(plan.label),
-        semantics=plan.semantics.value,
-        candidates=candidates,
-        verdict=verdict,
-        skip_reason=skip_reason,
-        oracle=survey,
-        witness_trace=witness,
-        traced=include_traces,
+        cfg, str(plan.label), plan.semantics.value, candidates, verdict, reason, survey,
+        witness, include_traces,
     )
 
 
@@ -388,24 +381,15 @@ def _oracle_only(
     """The oracle-only certificate of a valid config, from its survey alone."""
     survey = survey_seedings(cfg, _engine=engine)
     failing = survey.first_failing
-    skip_reason = None
+    reason = None
     if failing is not None:
         verdict = VERDICT_HOLDS
     elif survey.reached_count and not survey.cap_count:
         verdict = VERDICT_VIOLATED
     else:
-        verdict, skip_reason = VERDICT_SKIPPED, "oracle runs tied or hit the cap on every seeding"
-    return Certificate(
-        config=cfg,
-        label=label,
-        semantics=SEMANTICS_ORACLE,
-        candidates=(),
-        verdict=verdict,
-        skip_reason=skip_reason,
-        oracle=survey,
-        witness_trace=engine.run_strict(failing) if traced and failing is not None else None,
-        traced=traced,
-    )
+        verdict, reason = VERDICT_SKIPPED, "oracle runs tied or hit the cap on every seeding"
+    witness = engine.run_strict(failing) if traced and failing is not None else None
+    return Certificate(cfg, label, SEMANTICS_ORACLE, (), verdict, reason, survey, witness, traced)
 
 
 def _malformed(what: str) -> ValueError:
@@ -501,7 +485,10 @@ def recheck_certificate(data: dict) -> list[str]:
 class RegionSpec:
     """What to sample: k, a target case label (or "all-valid"), and the
     integer coefficient bound.  Distances are drawn from {1..bound} and
-    divided by ``denominator``."""
+    divided by ``denominator``.
+
+    ``_label``, the parsed target or None for "all-valid", is not a field.
+    """
 
     k: int
     target: str = "all-valid"
@@ -517,6 +504,7 @@ class RegionSpec:
             raise ValueError(f"bound must be <= {_MAX_BOUND} (one 32-bit word per draw)")
         if self.denominator < 1:
             raise ValueError("denominator must be >= 1")
+        label = None
         if self.target != "all-valid":
             label = CaseLabel.parse(self.target)  # fail fast on bad label syntax
             if self.k < 4:
@@ -529,6 +517,7 @@ class RegionSpec:
             if label.param is not None and label.param not in params:
                 allowed = f"{params[0]}..{params[-1]}" if params else "none"
                 raise ValueError(f"no k={self.k} region {self.target}; params of {region}: {allowed}")
+        object.__setattr__(self, "_label", label)
 
     @property
     def name(self) -> str:
@@ -556,7 +545,7 @@ def sample_config(
     bound = spec.bound
     bits = bound.bit_length()
     getrandbits = rng.getrandbits
-    target = None if spec.target == "all-valid" else CaseLabel.parse(spec.target)
+    target = spec._label
     is_valid, label_of = model.is_valid, cases.label_of
     for _ in range(max_rejections):
         values = [v + 1 for _ in range(width) if (v := getrandbits(bits)) < bound]

@@ -397,6 +397,21 @@ class TestCertifyCommand:
             f"check failed: oracle.{json.dumps(key)}: not part of a rebuilt certificate"
         ]
 
+    @pytest.mark.parametrize("output", [".", "plain/cert.json"], ids=["a_directory", "under_a_file"])
+    def test_unwritable_output_fails_before_certifying(self, capsys, tmp_path, monkeypatch, output):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the config was certified before the output path was checked")
+
+        monkeypatch.setattr(verify, "certify_config", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plain").write_text("")
+        code, out, err = run_cli(capsys, "certify", "a=1,3,3,1; p=2,2,2", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["plain"]  # no certificate written
+        assert (tmp_path / "plain").read_text() == ""
+
     def test_check_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", "--check", str(tmp_path))
         assert code == 2

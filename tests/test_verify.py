@@ -1,5 +1,6 @@
 """Certification, exhaustive search, probabilities, sampling, campaigns."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from kmeans_richness import cases, lloyd
 from kmeans_richness.cases import CaseLabel, ClassificationTieError, classify, label_of
 from kmeans_richness.model import (
     DistanceConfig,
+    Seeding,
     embed,
     is_valid,
     parse_config,
@@ -18,7 +21,7 @@ from kmeans_richness.model import (
     target_partition,
     validate,
 )
-from kmeans_richness.lloyd import LineEngine
+from kmeans_richness.lloyd import LineEngine, trace_digest
 from kmeans_richness.verify import (
     VERDICT_HOLDS,
     VERDICT_SKIPPED,
@@ -426,6 +429,22 @@ class TestSampleConfig:
         b = sample_config(spec, random.Random(40))
         assert a == b
 
+    @pytest.mark.parametrize("k, target", [(4, "ACB~"), (5, "BC(3)"), (4, "all-valid")])
+    def test_target_parsed_once_per_spec(self, monkeypatch, k, target):
+        spec = RegionSpec(k=k, target=target, bound=12)
+
+        def draws():
+            rng = random.Random(42)
+            return [sample_config(spec, rng) for _ in range(5)], rng.getstate()
+
+        expected = draws()
+
+        def refuse(cls, text):
+            raise AssertionError("the target was parsed again after the spec was built")
+
+        monkeypatch.setattr(CaseLabel, "parse", classmethod(refuse))
+        assert draws() == expected
+
     def test_unclassified_region(self):
         rng = random.Random(41)
         spec = RegionSpec(k=5, target="UNCLASSIFIED", bound=12)
@@ -490,13 +509,43 @@ class TestCampaign:
         assert result.min_probability is None
         assert result.holds == 3
 
-    def test_violation_certificates_carry_traces(self):
+    def test_violation_certificates_carry_traces(self, monkeypatch):
         # k=2 regions violate by design (every seeding reaches the pairing)
         report = campaign((RegionSpec(k=2, target="all-valid", bound=4),), 3, rng_seed=5)
         result = report.regions[0]
         assert len(result.violations) >= 1
         for cert in result.violations:
             assert cert.verdict == VERDICT_VIOLATED
+
+        # prescribe the seeding {1,3,5,7}, which reaches the pairing: ADD violates
+        prescribed = cases.adversarial_plan
+
+        def pairing_plan(cfg):
+            plan = prescribed(cfg)
+            return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
+
+        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan)
+        report = campaign((RegionSpec(k=4, target="ADD", bound=12),), 3, rng_seed=5)
+        violations = report.regions[0].violations
+        assert len(violations) == 3
+        for cert in violations:
+            data = cert.to_dict()
+            assert data["verdict"] == VERDICT_VIOLATED
+            assert data["candidates"] and all("trace" in c for c in data["candidates"])
+            assert data["oracle"]["witness_trace"]["steps"]
+
+    def test_holding_samples_build_no_digest(self, monkeypatch):
+        digests = []
+
+        def counted(trace):
+            digests.append(trace)
+            return trace_digest(trace)
+
+        monkeypatch.setattr(lloyd, "trace_digest", counted)
+        report = campaign(default_regions(4, bound=12)[:3], 4, rng_seed=5)
+        assert report.violation_count == 0
+        assert sum(r.holds for r in report.regions) == 12
+        assert digests == []
 
     def test_csv_shape(self):
         report = campaign((RegionSpec(k=4, target="AA", bound=12),), 2, rng_seed=6)
