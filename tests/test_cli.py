@@ -1,12 +1,14 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from kmeans_richness import lloyd, verify
+from kmeans_richness import cases, lloyd, verify
 from kmeans_richness.cli import main
+from kmeans_richness.model import Seeding
 
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
 
@@ -325,6 +327,26 @@ class TestGoldenReports:
             "verify", "--k", k, "--samples", samples, "--seed", "0", "--output", str(out_path),
         )
         assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    def test_violation_report_sha256(self, capsys, tmp_path, monkeypatch):
+        # prescribe the seeding {1,3,5,7}, which reaches the pairing: ADD violates
+        prescribed = cases.adversarial_plan
+
+        def pairing_plan(cfg):
+            plan = prescribed(cfg)
+            return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
+
+        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys,
+            "verify", "--k", "4", "--regions", "ADD", "--samples", "3", "--seed", "5",
+            "--bound", "12", "--output", str(out_path),
+        )
+        assert code == 1
+        assert json.loads(out_path.read_text())["violation_count"] == 3
+        digest = "dde5eb65da14a8f388488955dada1e365269bc9599372f57438e5308f5084afe"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
