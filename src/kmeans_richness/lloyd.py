@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Sequence
 
-from .model import Partition, PointSet, Seeding, _over_lcm
+from .model import DistanceConfig, Partition, PointSet, Seeding, _int_positions, _over_lcm
 
 DEFAULT_CAP = 10_000
 DEFAULT_BRANCH_LIMIT = 10_000
@@ -234,16 +234,22 @@ class LineEngine:
     """Reusable iteration core for one point set (denominators cleared once)."""
 
     def __init__(self, points: PointSet):
-        self.points = points
-        self._xs, self._den = _over_lcm(points.positions)
-        self._prefix = [0, *accumulate(self._xs)]
+        self._load(*_over_lcm(points.positions))
+
+    @classmethod
+    def _of_config(cls, cfg: DistanceConfig) -> LineEngine:
+        """``LineEngine(embed(cfg))``, built from the config's integer view."""
+        return cls.__new__(cls)._load(*_int_positions(cfg))
+
+    def _load(self, xs: tuple[int, ...], den: int) -> LineEngine:
+        self._xs, self._den = xs, den
+        self._prefix = [0, *accumulate(xs)]
         self._table: dict[tuple[int, int, int], int] = {}
+        return self
 
     def _check_seeding(self, seeding: Seeding) -> None:
-        if seeding.indices[-1] > self.points.n:
-            raise ValueError(
-                f"seed index {seeding.indices[-1]} out of range 1..{self.points.n}"
-            )
+        if seeding.indices[-1] > len(self._xs):
+            raise ValueError(f"seed index {seeding.indices[-1]} out of range 1..{len(self._xs)}")
 
     def _centroids(self, cents: Sequence[tuple[int, int]], empty: tuple[bool, ...]) -> Centroids:
         den = self._den
@@ -300,6 +306,10 @@ class LineEngine:
         """History-free strict run: (kind, final labels, empty rule used, steps)."""
         return _iterate(self._xs, self._prefix, seed_indices, cap)[:4]
 
+    def _tie(self, seed_indices: tuple[int, ...]) -> _Tie | None:
+        """Where a strict run from these seeds ties: (step, 1-based point, (j, j+1))."""
+        return _iterate(self._xs, self._prefix, seed_indices, DEFAULT_CAP)[4]
+
     def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | None:
         """One Lloyd step from a partition with no empty block, given as cuts.
 
@@ -329,7 +339,7 @@ class LineEngine:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
-        xs, prefix, n = self._xs, self._prefix, self.points.n
+        xs, prefix, n = self._xs, self._prefix, len(self._xs)
         results: list[LloydTrace] = []
 
         def explore(
@@ -486,6 +496,8 @@ def trace_to_dict(trace: LloydTrace) -> dict:
     }
 
 
-def trace_digest(trace: LloydTrace) -> str:
-    text = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
+def trace_digest(trace: LloydTrace | dict) -> str:
+    """SHA-256 of the trace's canonical JSON; ``trace`` may be ``trace_to_dict``'s output."""
+    data = trace_to_dict(trace) if isinstance(trace, LloydTrace) else trace
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()

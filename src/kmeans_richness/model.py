@@ -198,11 +198,16 @@ class PointSet:
         return PointSet(tuple(x * factor for x in self.positions))
 
 
+def _int_positions(cfg: DistanceConfig) -> tuple[tuple[int, ...], int]:
+    """``embed(cfg)`` on the integer view: the numerators over its denominator."""
+    a, p, den = cfg._ints
+    return tuple(accumulate([*(d for pair in zip(a, p) for d in pair), a[-1]], initial=0)), den
+
+
 def embed(cfg: DistanceConfig) -> PointSet:
     """Lay out the 2k points with the first at 0, alternating a_j and p_j."""
-    a, p, den = cfg._ints
-    gaps = [d for pair in zip(a, p) for d in pair] + [a[-1]]
-    return PointSet(tuple(Fraction(x, den) for x in accumulate(gaps, initial=0)))
+    xs, den = _int_positions(cfg)
+    return PointSet(tuple(Fraction(x, den) for x in xs))
 
 
 def canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:

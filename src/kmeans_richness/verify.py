@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb
@@ -92,7 +92,7 @@ def survey_seedings(
     seeds instead, once per first partition; only those runs can set
     ``empty_rule_used``.
     """
-    engine = _engine or LineEngine(model.embed(cfg))
+    engine = _engine or LineEngine._of_config(cfg)
     k = cfg.k
     n = 2 * k
     target = tuple(range(2, n, 2))
@@ -231,8 +231,9 @@ class CandidateRecord:
         return final is not None and final == model.target_partition(self.seeding.k)
 
     def to_dict(self) -> dict:
-        """The run's certificate fields, without the trace itself."""
+        """The run's certificate fields, its trace under ``trace`` (serialized once)."""
         trace = self.trace
+        data = lloyd.trace_to_dict(trace)
         final_labels = self.final_labels
         return {
             "name": self.name,
@@ -241,7 +242,8 @@ class CandidateRecord:
             "final_labels": list(final_labels) if final_labels is not None else None,
             "reached_target": self.reached_target,
             "empty_rule_used": trace.used_empty_cluster_rule(),
-            "trace_digest": lloyd.trace_digest(trace),
+            "trace_digest": lloyd.trace_digest(data),
+            "trace": data,
         }
 
 
@@ -266,9 +268,9 @@ class Certificate:
 
     def to_dict(self) -> dict:
         candidates = [c.to_dict() for c in self.candidates]
-        if self.traced:
-            for record, out in zip(self.candidates, candidates):
-                out["trace"] = lloyd.trace_to_dict(record.trace)
+        if not self.traced:
+            for out in candidates:
+                del out["trace"]
         survey = self.oracle
         oracle = None
         if survey is not None:
@@ -309,7 +311,14 @@ def certify_config(
     oracle-only certificate.  Any tie during a candidate run skips the
     certificate.
     """
+    return _with_runs(*_decide(cfg, oracle), include_traces)
+
+
+def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, LineEngine]:
+    """``certify_config``'s verdict, from lean runs only: its certificate with
+    no runs, the plan's (name, seeding) pairs to run, and the engine."""
     _require_valid(cfg)
+    engine = LineEngine._of_config(cfg)
     plan: cases.AdversarialPlan | None = None
     if cfg.k >= 4:
         try:
@@ -318,40 +327,36 @@ def certify_config(
             pass
         except cases.ClassificationTieError as exc:
             reason = f"classification tie: {exc.description}"
-            return Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None)
-    engine = LineEngine(model.embed(cfg))
+            cert = Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None)
+            return cert, (), engine
     if plan is None:
-        label = cases.UNCLASSIFIED if cfg.k >= 4 else None
-        return _oracle_only(cfg, label, engine, include_traces)
+        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None, engine)
 
-    candidates = tuple(
-        CandidateRecord(name, engine.run_strict(seeding))
-        for name, seeding in zip(plan.names, plan.candidates)
-    )
-    reached = [c.reached_target for c in candidates]
+    target = model.target_partition(cfg.k).labels  # a final with k blocks has canonical labels
+    reached, reason = [], None
+    for seeding in plan.candidates:
+        kind, final, _empty, _steps = engine.run_lean(seeding.indices)
+        if kind != "converged":
+            reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
+            if tie := engine._tie(seeding.indices):
+                _step, i, pair = tie
+                reason = f"tie during candidate {seeding}: point {i} between clusters {list(pair)}"
+            break
+        reached.append(final == target)
     violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
-    verdict = VERDICT_VIOLATED if violated else VERDICT_HOLDS
-    reason = None
-    stuck = next((c for c in candidates if not c.trace.converged), None)
-    if stuck is not None:
-        verdict, outcome = VERDICT_SKIPPED, stuck.trace.outcome
-        if isinstance(outcome, lloyd.TieEncountered):
-            reason = (
-                f"tie during candidate {stuck.seeding}: point {outcome.point_index}"
-                f" between clusters {list(outcome.clusters)}"
-            )
-        else:
-            reason = f"candidate {stuck.seeding} hit the iteration cap {DEFAULT_CAP}"
+    verdict = VERDICT_SKIPPED if reason else VERDICT_VIOLATED if violated else VERDICT_HOLDS
+    survey = survey_seedings(cfg, _engine=engine) if oracle and not reason else None
+    cert = Certificate(cfg, str(plan.label), plan.semantics.value, (), verdict, reason, survey)
+    return cert, tuple(zip(plan.names, plan.candidates)), engine
 
-    survey = witness = None
-    if oracle and verdict != VERDICT_SKIPPED:
-        survey = survey_seedings(cfg, _engine=engine)
-        if include_traces and survey.first_failing is not None:
-            witness = engine.run_strict(survey.first_failing)
-    return Certificate(
-        cfg, str(plan.label), plan.semantics.value, candidates, verdict, reason, survey,
-        witness, include_traces,
-    )
+
+def _with_runs(cert: Certificate, pairs: tuple, engine: LineEngine, traced: bool) -> Certificate:
+    """``_decide``'s certificate with strict runs of its (name, seeding)
+    pairs, and of the survey's first failing seeding if ``traced``."""
+    failing = cert.oracle.first_failing if cert.oracle is not None else None
+    witness = engine.run_strict(failing) if traced and failing is not None else None
+    records = tuple(CandidateRecord(name, engine.run_strict(s)) for name, s in pairs)
+    return replace(cert, candidates=records, witness_trace=witness, traced=traced)
 
 
 def check_plan(cfg: DistanceConfig) -> Certificate:
@@ -372,24 +377,22 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
             label = str(cases.classify(cfg))
         except cases.ClassificationTieError:
             pass
-    return _oracle_only(cfg, label, LineEngine(model.embed(cfg)), include_witness_trace)
+    return _with_runs(*_oracle_only(cfg, label, LineEngine._of_config(cfg)), include_witness_trace)
 
 
 def _oracle_only(
-    cfg: DistanceConfig, label: str | None, engine: LineEngine, traced: bool
-) -> Certificate:
-    """The oracle-only certificate of a valid config, from its survey alone."""
+    cfg: DistanceConfig, label: str | None, engine: LineEngine
+) -> tuple[Certificate, tuple, LineEngine]:
+    """The oracle-only decision on a valid config, from its survey alone."""
     survey = survey_seedings(cfg, _engine=engine)
-    failing = survey.first_failing
     reason = None
-    if failing is not None:
+    if survey.first_failing is not None:
         verdict = VERDICT_HOLDS
     elif survey.reached_count and not survey.cap_count:
         verdict = VERDICT_VIOLATED
     else:
         verdict, reason = VERDICT_SKIPPED, "oracle runs tied or hit the cap on every seeding"
-    witness = engine.run_strict(failing) if traced and failing is not None else None
-    return Certificate(cfg, label, SEMANTICS_ORACLE, (), verdict, reason, survey, witness, traced)
+    return Certificate(cfg, label, SEMANTICS_ORACLE, (), verdict, reason, survey), (), engine
 
 
 def _malformed(what: str) -> ValueError:
@@ -675,8 +678,9 @@ def campaign(
 
     A skipped (tied) attempt is counted and the slot resampled from its own
     derived stream, up to ``TIE_RETRIES`` attempts, so each region contributes
-    its full quota of decided certificates; a violation is certified again
-    with traces.  Region exhaustion is recorded without aborting the rest.
+    its full quota of decided certificates; an attempt is decided on lean runs,
+    and only a violation is certified, with traces.  Region exhaustion is
+    recorded without aborting the rest.
     Deterministic for a fixed (regions, samples, seed): each (region, slot,
     attempt) triple derives an independent RNG stream.
     """
@@ -695,7 +699,7 @@ def campaign(
                 except RegionExhaustedError as exc:
                     result.error = str(exc)
                     break
-                cert = certify_config(cfg, oracle=oracle)
+                cert, pairs, engine = _decide(cfg, oracle)
                 result.samples += 1
                 if cert.verdict == VERDICT_SKIPPED:
                     result.ties_skipped += 1
@@ -703,8 +707,7 @@ def campaign(
                 if cert.verdict == VERDICT_HOLDS:
                     result.holds += 1
                 else:
-                    cert = certify_config(cfg, oracle=oracle, include_traces=True)
-                    violations.append(cert)
+                    violations.append(_with_runs(cert, pairs, engine, traced=True))
                 if cert.oracle is not None:
                     result.oracle_samples += 1
                     if cert.oracle.first_failing is not None:

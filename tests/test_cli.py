@@ -337,7 +337,15 @@ class TestGoldenReports:
             plan = prescribed(cfg)
             return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
 
+        surveys = []
+        survey = verify.survey_seedings
+
+        def counted_survey(cfg, *args, **kwargs):
+            surveys.append(cfg)
+            return survey(cfg, *args, **kwargs)
+
         monkeypatch.setattr(cases, "adversarial_plan", pairing_plan)
+        monkeypatch.setattr(verify, "survey_seedings", counted_survey)
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
             capsys,
@@ -346,6 +354,7 @@ class TestGoldenReports:
         )
         assert code == 1
         assert json.loads(out_path.read_text())["violation_count"] == 3
+        assert len(surveys) == 3  # one survey per sample: a violation is certified once
         digest = "dde5eb65da14a8f388488955dada1e365269bc9599372f57438e5308f5084afe"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import cases, model
 from kmeans_richness.cases import ClassificationTieError
-from kmeans_richness.model import DistanceConfig, NonPositiveDistanceError, embed, validate
+from kmeans_richness.lloyd import LineEngine
+from kmeans_richness.model import DistanceConfig, NonPositiveDistanceError, Seeding, embed, validate
 
 
 def entries(low):
@@ -94,6 +95,18 @@ def test_embed_matches_fraction_sums(cfg):
     positions = embed(cfg).positions
     assert positions == reference_positions(cfg.a, cfg.p)
     assert all(type(x) is Fraction for x in positions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_engine_from_view_matches_embedded_engine(cfg):
+    engine = LineEngine._of_config(cfg)
+    reference = LineEngine(embed(cfg))
+    assert engine._xs == reference._xs and engine._den == reference._den
+    assert engine._prefix == reference._prefix
+    assert all(type(x) is int for x in engine._xs)
+    seeding = Seeding(tuple(range(1, 2 * cfg.k + 1, 2)))  # the odd points
+    assert engine.run_strict(seeding) == reference.run_strict(seeding)
 
 
 @settings(max_examples=300, deadline=None)

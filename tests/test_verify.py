@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmeans_richness import cases, lloyd
+from kmeans_richness import cases, lloyd, model, verify
 from kmeans_richness.cases import CaseLabel, ClassificationTieError, classify, label_of
 from kmeans_richness.model import (
     DistanceConfig,
@@ -307,6 +307,139 @@ class TestCertificateBytes:
         assert digest == "f7fa1b5d5d661d97706573e0e92f022c6aa315f20b5aa321a3bd614928c18254"
 
 
+    def test_traced_certificate_serializes_each_trace_once(self, monkeypatch):
+        calls = []
+        serialize = lloyd.trace_to_dict
+
+        def counted(trace):
+            calls.append(trace)
+            return serialize(trace)
+
+        monkeypatch.setattr(lloyd, "trace_to_dict", counted)
+        cert = certify_config(parse_config("a=1,1,1,1; p=3,3,3"), include_traces=True)
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == CERTIFICATE_SHA256["a=1,1,1,1; p=3,3,3"][True]
+        assert len(calls) == 5  # four candidates and the witness
+        assert len({id(trace) for trace in calls}) == 5
+
+
+def pairing_plan(prescribed):
+    """``prescribed`` with its candidates replaced by {1,3,5,7}, which reaches the
+    pairing on ADD configs: the plan is violated."""
+
+    def plan(cfg):
+        return dataclasses.replace(
+            prescribed(cfg), candidates=(Seeding((1, 3, 5, 7)),), names=(None,)
+        )
+
+    return plan
+
+
+def reference_decision(cert):
+    """(verdict, skip reason) read off a certificate's strict traces, as
+    ``certify_config`` decided before it made lean runs."""
+    if not cert.candidates:
+        return cert.verdict, cert.skip_reason
+    reached = [c.reached_target for c in cert.candidates]
+    all_must_fail = cert.semantics == cases.PlanSemantics.ALL_MUST_FAIL.value
+    violated = any(reached) if all_must_fail else all(reached)
+    stuck = next((c for c in cert.candidates if not c.trace.converged), None)
+    if stuck is None:
+        return (VERDICT_VIOLATED if violated else VERDICT_HOLDS), None
+    outcome = stuck.trace.outcome
+    if isinstance(outcome, lloyd.TieEncountered):
+        reason = (
+            f"tie during candidate {stuck.seeding}: point {outcome.point_index}"
+            f" between clusters {list(outcome.clusters)}"
+        )
+    else:
+        reason = f"candidate {stuck.seeding} hit the iteration cap {verify.DEFAULT_CAP}"
+    return VERDICT_SKIPPED, reason
+
+
+def decision_configs():
+    """Valid configs from k=2 to k=6: sampled from every region, plus small
+    entries that tie often."""
+    rng = random.Random(13)
+    out = []
+    for k in range(2, 7):
+        for spec in default_regions(k, bound=30):
+            out += [sample_config(spec, rng) for _ in range(3)]
+        small = []
+        while len(small) < 30:
+            a = tuple(rng.randint(1, 4) for _ in range(k))
+            p = tuple(rng.randint(1, 4) for _ in range(k - 1))
+            if is_valid(a, p):
+                small.append(DistanceConfig(a, p))
+        out += small
+    return out
+
+
+class TestDecision:
+    """The campaign's decision step (lean runs, no traces) against
+    ``certify_config`` and against a verdict read off strict traces."""
+
+    def check(self, cfg, oracle=True):
+        cert, pairs, engine = verify._decide(cfg, oracle)
+        full = certify_config(cfg, oracle=oracle, include_traces=True)
+        assert cert.candidates == () and cert.witness_trace is None
+        assert (cert.label, cert.semantics) == (full.label, full.semantics)
+        assert (cert.verdict, cert.skip_reason) == (full.verdict, full.skip_reason)
+        assert (cert.verdict, cert.skip_reason) == reference_decision(full)
+        assert [(name, s) for name, s in pairs] == [(c.name, c.seeding) for c in full.candidates]
+        assert cert.oracle == full.oracle
+        if cert.oracle is not None:
+            # the survey on an engine built from the Fraction embedding
+            assert cert.oracle == survey_seedings(cfg, _engine=LineEngine(embed(cfg)))
+        assert engine._xs == LineEngine(embed(cfg))._xs
+        return cert
+
+    def test_sampled_configs(self):
+        seen = set()
+        for cfg in decision_configs():
+            cert = self.check(cfg)
+            seen.add((cert.semantics, cert.verdict, (cert.skip_reason or "")[:20]))
+        paths = {(semantics, verdict) for semantics, verdict, _ in seen}
+        assert ("oracle-only", VERDICT_VIOLATED) in paths  # k < 4
+        assert ("all-must-fail", VERDICT_HOLDS) in paths
+        assert ("any-must-fail", VERDICT_HOLDS) in paths
+        assert ("all-must-fail", VERDICT_SKIPPED) in paths or ("any-must-fail", VERDICT_SKIPPED) in paths
+        assert any(reason.startswith("classification tie") for *_, reason in seen)
+        assert any(reason.startswith("tie during candi") for *_, reason in seen)
+
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-oracle"])
+    @pytest.mark.parametrize(
+        "text, verdict, reason",
+        [
+            ("a=2,2,1,1; p=1,1,1", VERDICT_SKIPPED, "tie during candidate {1,3,5,7}"),
+            ("a=2,2,3,1; p=2,2,2", VERDICT_SKIPPED, "classification tie"),
+            ("a=3,3,1,1,1; p=1,4,2,2", VERDICT_HOLDS, None),  # UNCLASSIFIED
+            ("a=1,1; p=10", VERDICT_VIOLATED, None),  # k=2
+            ("a=1,3,3,1; p=2,2,2", VERDICT_HOLDS, None),  # AA
+        ],
+    )
+    def test_named_paths(self, text, verdict, reason, oracle):
+        cert = self.check(parse_config(text), oracle)
+        assert cert.verdict == verdict
+        assert (cert.skip_reason or "").startswith(reason or "")
+
+    def test_cap_path(self, monkeypatch):
+        lean, strict = LineEngine.run_lean, LineEngine.run_strict
+        monkeypatch.setattr(LineEngine, "run_lean", lambda self, seeds, cap=1: lean(self, seeds, 1))
+        monkeypatch.setattr(LineEngine, "run_strict", lambda self, s, cap=1: strict(self, s, 1))
+        cert = self.check(parse_config("a=1,3,3,1; p=2,2,2"))
+        assert cert.verdict == VERDICT_SKIPPED
+        assert cert.skip_reason == f"candidate {{2,4,5,7}} hit the iteration cap {verify.DEFAULT_CAP}"
+
+    def test_violation_path(self, monkeypatch):
+        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan(cases.adversarial_plan))
+        rng = random.Random(5)
+        for _ in range(5):
+            cfg = sample_config(RegionSpec(k=4, target="ADD", bound=12), rng)
+            assert self.check(cfg).verdict == VERDICT_VIOLATED
+            assert self.check(cfg, oracle=False).verdict == VERDICT_VIOLATED
+
+
 # (path into the certificate, tampered value); every one must be reported
 TAMPERINGS = [
     (("label",), "AA"),
@@ -546,6 +679,25 @@ class TestCampaign:
         assert report.violation_count == 0
         assert sum(r.holds for r in report.regions) == 12
         assert digests == []
+
+    def test_holding_samples_make_only_lean_runs(self, monkeypatch):
+        strict_runs, embeddings = [], []
+        strict, embed_points = LineEngine.run_strict, model.embed
+
+        def counted_strict(self, seeding, cap=lloyd.DEFAULT_CAP):
+            strict_runs.append(seeding)
+            return strict(self, seeding, cap)
+
+        def counted_embed(cfg):
+            embeddings.append(cfg)
+            return embed_points(cfg)
+
+        monkeypatch.setattr(LineEngine, "run_strict", counted_strict)
+        monkeypatch.setattr(model, "embed", counted_embed)
+        report = campaign(default_regions(4, bound=12), 2, rng_seed=5)
+        assert report.violation_count == 0
+        assert sum(r.holds for r in report.regions) == 26
+        assert (strict_runs, embeddings) == ([], [])
 
     def test_csv_shape(self):
         report = campaign((RegionSpec(k=4, target="AA", bound=12),), 2, rng_seed=6)
