@@ -201,7 +201,8 @@ class PointSet:
 def _int_positions(cfg: DistanceConfig) -> tuple[tuple[int, ...], int]:
     """``embed(cfg)`` on the integer view: the numerators over its denominator."""
     a, p, den = cfg._ints
-    return tuple(accumulate([*(d for pair in zip(a, p) for d in pair), a[-1]], initial=0)), den
+    gaps = [d for pair in zip(a, p) for d in pair] + [a[-1]]
+    return tuple(accumulate(gaps, initial=0)), den
 
 
 def embed(cfg: DistanceConfig) -> PointSet:

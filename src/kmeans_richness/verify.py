@@ -330,7 +330,7 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, Line
             cert = Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None)
             return cert, (), engine
     if plan is None:
-        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None, engine)
+        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None, engine), (), engine
 
     target = model.target_partition(cfg.k).labels  # a final with k blocks has canonical labels
     reached, reason = [], None
@@ -377,13 +377,12 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
             label = str(cases.classify(cfg))
         except cases.ClassificationTieError:
             pass
-    return _with_runs(*_oracle_only(cfg, label, LineEngine._of_config(cfg)), include_witness_trace)
+    engine = LineEngine._of_config(cfg)
+    return _with_runs(_oracle_only(cfg, label, engine), (), engine, include_witness_trace)
 
 
-def _oracle_only(
-    cfg: DistanceConfig, label: str | None, engine: LineEngine
-) -> tuple[Certificate, tuple, LineEngine]:
-    """The oracle-only decision on a valid config, from its survey alone."""
+def _oracle_only(cfg: DistanceConfig, label: str | None, engine: LineEngine) -> Certificate:
+    """The oracle-only certificate of a valid config, with no runs, from its survey alone."""
     survey = survey_seedings(cfg, _engine=engine)
     reason = None
     if survey.first_failing is not None:
@@ -392,7 +391,7 @@ def _oracle_only(
         verdict = VERDICT_VIOLATED
     else:
         verdict, reason = VERDICT_SKIPPED, "oracle runs tied or hit the cap on every seeding"
-    return Certificate(cfg, label, SEMANTICS_ORACLE, (), verdict, reason, survey), (), engine
+    return Certificate(cfg, label, SEMANTICS_ORACLE, (), verdict, reason, survey)
 
 
 def _malformed(what: str) -> ValueError:

@@ -306,7 +306,6 @@ class TestCertificateBytes:
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
         assert digest == "f7fa1b5d5d661d97706573e0e92f022c6aa315f20b5aa321a3bd614928c18254"
 
-
     def test_traced_certificate_serializes_each_trace_once(self, monkeypatch):
         calls = []
         serialize = lloyd.trace_to_dict
@@ -403,7 +402,6 @@ class TestDecision:
         assert ("oracle-only", VERDICT_VIOLATED) in paths  # k < 4
         assert ("all-must-fail", VERDICT_HOLDS) in paths
         assert ("any-must-fail", VERDICT_HOLDS) in paths
-        assert ("all-must-fail", VERDICT_SKIPPED) in paths or ("any-must-fail", VERDICT_SKIPPED) in paths
         assert any(reason.startswith("classification tie") for *_, reason in seen)
         assert any(reason.startswith("tie during candi") for *_, reason in seen)
 
@@ -650,14 +648,7 @@ class TestCampaign:
         for cert in result.violations:
             assert cert.verdict == VERDICT_VIOLATED
 
-        # prescribe the seeding {1,3,5,7}, which reaches the pairing: ADD violates
-        prescribed = cases.adversarial_plan
-
-        def pairing_plan(cfg):
-            plan = prescribed(cfg)
-            return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
-
-        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan)
+        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan(cases.adversarial_plan))
         report = campaign((RegionSpec(k=4, target="ADD", bound=12),), 3, rng_seed=5)
         violations = report.regions[0].violations
         assert len(violations) == 3
@@ -668,21 +659,13 @@ class TestCampaign:
             assert data["oracle"]["witness_trace"]["steps"]
 
     def test_holding_samples_build_no_digest(self, monkeypatch):
-        digests = []
+        # a holding sample makes lean runs only: no strict run, embedding or digest
+        digests, strict_runs, embeddings = [], [], []
+        strict, embed_points = LineEngine.run_strict, model.embed
 
-        def counted(trace):
+        def counted_digest(trace):
             digests.append(trace)
             return trace_digest(trace)
-
-        monkeypatch.setattr(lloyd, "trace_digest", counted)
-        report = campaign(default_regions(4, bound=12)[:3], 4, rng_seed=5)
-        assert report.violation_count == 0
-        assert sum(r.holds for r in report.regions) == 12
-        assert digests == []
-
-    def test_holding_samples_make_only_lean_runs(self, monkeypatch):
-        strict_runs, embeddings = [], []
-        strict, embed_points = LineEngine.run_strict, model.embed
 
         def counted_strict(self, seeding, cap=lloyd.DEFAULT_CAP):
             strict_runs.append(seeding)
@@ -692,12 +675,13 @@ class TestCampaign:
             embeddings.append(cfg)
             return embed_points(cfg)
 
+        monkeypatch.setattr(lloyd, "trace_digest", counted_digest)
         monkeypatch.setattr(LineEngine, "run_strict", counted_strict)
         monkeypatch.setattr(model, "embed", counted_embed)
-        report = campaign(default_regions(4, bound=12), 2, rng_seed=5)
+        report = campaign(default_regions(4, bound=12)[:3], 4, rng_seed=5)
         assert report.violation_count == 0
-        assert sum(r.holds for r in report.regions) == 26
-        assert (strict_runs, embeddings) == ([], [])
+        assert sum(r.holds for r in report.regions) == 12
+        assert (digests, strict_runs, embeddings) == ([], [], [])
 
     def test_csv_shape(self):
         report = campaign((RegionSpec(k=4, target="AA", bound=12),), 2, rng_seed=6)
