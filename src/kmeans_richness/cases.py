@@ -222,8 +222,9 @@ def _bc_seeding(m: int, k: int) -> Seeding:
     return Seeding(indices)
 
 
+@cache
 def _adversarial_plan_k(label: CaseLabel, k: int) -> AdversarialPlan:
-    """The prescribed seeding(s) for a label at k>4."""
+    """The prescribed seeding(s) for a label at k>4, built once per (label, k)."""
     if label.tag == UNCLASSIFIED:
         raise UnclassifiedConfigError(
             "mixed pit/peak configuration with no monotone gap; fall back to exhaustive search"

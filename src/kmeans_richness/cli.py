@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -245,13 +246,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         oracle=not args.no_oracle,
     )
-    out_path.write_text(report.to_json() + "\n")
+    text = report.to_json()
+    out_path.write_text(text + "\n")
+    csv_text = report.to_csv() if csv_path is not None or args.format == "csv" else None
     if csv_path is not None:
-        csv_path.write_text(report.to_csv())
+        csv_path.write_text(csv_text)
     if args.format == "json":
-        _emit_json(report.to_dict())
+        print(text)
     elif args.format == "csv":
-        print(report.to_csv(), end="")
+        print(csv_text, end="")
     else:
         print(f"report written to {out_path}")
         for r in report.regions:
@@ -290,7 +293,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.verdict == verify.VERDICT_HOLDS else EXIT_VIOLATION
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="kmeans-richness",
         description="Exact Lloyd's k-means on the line with adversarial-seeding certificates.",

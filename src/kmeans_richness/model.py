@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import lcm
 from typing import Sequence
@@ -277,8 +278,9 @@ class Partition:
         return hash(self.canonical_labels())
 
 
+@cache
 def target_partition(k: int) -> Partition:
-    """The pairing partition: points 2j-1 and 2j share block j."""
+    """The pairing partition: points 2j-1 and 2j share block j, built once per k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return Partition(tuple(i // 2 for i in range(2 * k)))

@@ -1,5 +1,6 @@
 """Case classifier and adversarial seeding constructions."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from kmeans_richness.cases import (
     ClassificationTieError,
     PlanSemantics,
     UnclassifiedConfigError,
+    _adversarial_plan_k,
     adversarial_plan,
     classify,
 )
 from kmeans_richness.model import DistanceConfig, Seeding, mirror, mirror_seeding, validate
+from kmeans_richness.verify import _region_params, _region_targets
 
 
 def cfg4(a, p):
@@ -289,6 +292,19 @@ class TestPlanK:
             for seeding in plan.candidates:
                 assert len(seeding.indices) == k
                 assert all(1 <= i <= 2 * k for i in seeding.indices)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_plan_built_once_per_label(self, k):
+        # every label and param a k>4 region can name, as the sampler enumerates them
+        for target in _region_targets(k):
+            if target == UNCLASSIFIED:
+                continue
+            parsed = CaseLabel.parse(target)
+            for param in _region_params(k, parsed) or (None,):
+                label = dataclasses.replace(parsed, param=param)
+                plan = _adversarial_plan_k(label, k)
+                assert _adversarial_plan_k(label, k) is plan
+                assert plan == _adversarial_plan_k.__wrapped__(label, k)
 
 
 class TestDispatch:

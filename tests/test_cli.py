@@ -7,7 +7,7 @@ import json
 import pytest
 
 from kmeans_richness import cases, lloyd, verify
-from kmeans_richness.cli import main
+from kmeans_richness.cli import build_parser, main
 from kmeans_richness.model import Seeding
 
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
@@ -204,6 +204,25 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_serializes_the_report_once(self, capsys, tmp_path, monkeypatch, fmt):
+        calls = {"to_dict": 0, "to_csv": 0}
+        for name in calls:
+            def counted(self, _name=name, _method=getattr(verify.Report, name)):
+                calls[_name] += 1
+                return _method(self)
+
+            monkeypatch.setattr(verify.Report, name, counted)
+        paths = {"json": tmp_path / "r.json", "csv": tmp_path / "r.csv"}
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--k", "4", "--regions", "AA,ADD", "--samples", "2",
+            "--output", str(paths["json"]), "--csv", str(paths["csv"]), "--format", fmt,
+        )
+        assert code == 0
+        assert calls == {"to_dict": 1, "to_csv": 1}
+        assert out == paths[fmt].read_text()
+
     def test_violations_exit_1(self, capsys, tmp_path):
         # k=2 makes no adversarial claim: every seeding reaches the pairing
         code, _, _ = run_cli(
@@ -307,6 +326,52 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert (tmp_path / "nested" / "report.json").exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a reused parser answers as a
+    fresh one, also after a usage error or ``--help``."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--k", "4", "--regions", "AA,AB", "--samples", "3", "--seed", "42"],
+            ["simulate", "a=1,3,3,1; p=2,2,2", "--seeding", "2,4,5,7", "--tie-mode", "branch"],
+            ["classify", CONFIG_AA, "--format", "json"],
+            ["certify", "--check", "cert.json"],
+        ],
+    )
+    def test_reused_parser_parses_as_a_fresh_one(self, argv):
+        fresh = build_parser.__wrapped__()
+        assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_usage_error_and_help_between_identical_verify_calls(self, capsys, tmp_path):
+        argv = [
+            "verify", "--k", "4", "--regions", "AA,AB", "--samples", "3", "--seed", "42",
+            "--output", str(tmp_path / "report.json"),
+        ]
+        code, out, _ = run_cli(capsys, *argv)
+        first = (code, out, (tmp_path / "report.json").read_bytes())
+        with pytest.raises(SystemExit) as usage:
+            main(["verify", "--k", "x"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as shown:
+            main(["verify", "--help"])
+        assert shown.value.code == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out, (tmp_path / "report.json").read_bytes()) == first
+        assert first[0] == 0
+
+    def test_classify_json_repeats(self, capsys):
+        argv = ("classify", CONFIG_AA, "--format", "json")
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, "classify", CONFIG_AA)[1].startswith("AA; plan:")  # default format
+        assert run_cli(capsys, *argv) == first
+        assert json.loads(first[1])["label"] == "AA"
 
 
 class TestGoldenReports:

@@ -134,6 +134,11 @@ class TestTargetPartition:
     def test_k5(self):
         assert target_partition(5).labels == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
 
+    def test_built_once_per_k(self):
+        for k in range(1, 9):
+            assert target_partition(k) is target_partition(k)
+            assert target_partition(k).labels == Partition(tuple(i // 2 for i in range(2 * k))).labels
+
 
 class TestMirror:
     def test_config_reversal(self):
