@@ -354,6 +354,7 @@ class TestParserReuse:
             "--output", str(tmp_path / "report.json"),
         ]
         code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
         first = (code, out, (tmp_path / "report.json").read_bytes())
         with pytest.raises(SystemExit) as usage:
             main(["verify", "--k", "x"])
@@ -364,7 +365,6 @@ class TestParserReuse:
         capsys.readouterr()
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out, (tmp_path / "report.json").read_bytes()) == first
-        assert first[0] == 0
 
     def test_classify_json_repeats(self, capsys):
         argv = ("classify", CONFIG_AA, "--format", "json")
