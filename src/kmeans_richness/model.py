@@ -302,6 +302,13 @@ class Seeding:
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate seed indices in {indices}")
 
+    @classmethod
+    def _of_sorted(cls, indices: tuple[int, ...]) -> Seeding:
+        """A seeding from indices already sorted, distinct, 1-based ints; unchecked."""
+        seeding = object.__new__(cls)
+        object.__setattr__(seeding, "indices", indices)
+        return seeding
+
     @property
     def k(self) -> int:
         return len(self.indices)

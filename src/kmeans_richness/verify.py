@@ -81,7 +81,9 @@ def survey_seedings(
     cut per seed, so seedings share their prefix's cuts, and a point on a
     midpoint ties the whole subtree.  The last seed adds no later cut, so
     the last seeds after one prefix are taken in runs of equal step-0 cut,
-    one first partition per run.
+    one first partition per run, by a routine that the second-to-last
+    seed's loop calls directly.  The walk's indices are sorted, distinct
+    and 1-based by construction, so its seedings skip ``Seeding``'s checks.
 
     A partition with no empty block fixes the next centroids, so one Lloyd
     step runs per distinct such partition: a memo maps its cuts to the
@@ -148,34 +150,43 @@ def survey_seedings(
         settled[first] = outcome
         return outcome
 
-    def visit(seeds: tuple[int, ...], key: tuple[int, ...]) -> None:
+    seeding = Seeding._of_sorted  # the walk's indices are sorted, distinct and 1-based
+
+    def last(seeds: tuple[int, ...], key: tuple[int, ...], i: int) -> None:
+        """Tally the seedings ``seeds`` + j for every last seed j > i."""
         nonlocal first_failing
+        for cut, js in runs[i]:
+            if cut is None:
+                outcome = "tie"
+            else:
+                first = key + cut
+                outcome = settled.get(first) or settle(first, (*seeds, js[0]))
+            counts[outcome] += len(js)
+            if outcome == "failed" and first_failing is None:
+                first_failing = seeding((*seeds, js[0]))
+            elif outcome == "tie":
+                tied.extend([seeding((*seeds, j)) for j in js])
+
+    def visit(seeds: tuple[int, ...], key: tuple[int, ...]) -> None:
         i = seeds[-1] if seeds else 0
-        if len(seeds) + 1 == k:  # the last seed: it adds one cut and no later one
-            for cut, js in runs[i]:
-                if cut is None:
-                    outcome = "tie"
-                else:
-                    first = key + cut
-                    outcome = settled.get(first) or settle(first, (*seeds, js[0]))
-                counts[outcome] += len(js)
-                if outcome == "failed" and first_failing is None:
-                    first_failing = Seeding((*seeds, js[0]))
-                elif outcome == "tie":
-                    tied.extend(Seeding((*seeds, j)) for j in js)
-            return
         row = rows[i]
-        for j in range(i + 1, n - k + len(seeds) + 2):  # room for the seeds to come
+        left = k - len(seeds) - 1  # seeds to come after the next one
+        for j in range(i + 1, n - left + 1):  # room for the seeds to come
             cut = row[j]
             if cut is None:
-                rest = combinations(range(j + 1, n + 1), k - len(seeds) - 1)
-                subtree = [Seeding((*seeds, j, *r)) for r in rest]
+                prefix = (*seeds, j)
+                subtree = [seeding(prefix + r) for r in combinations(range(j + 1, n + 1), left)]
                 counts["tie"] += len(subtree)
                 tied.extend(subtree)
+            elif left == 1:  # the seed after j is the last: no recursion
+                last((*seeds, j), key + cut, j)
             else:
                 visit((*seeds, j), key + cut)
 
-    visit((), ())
+    if k == 1:
+        last((), (), 0)
+    else:
+        visit((), ())
     del visit  # it refers to itself; drop the cycle so the memo is freed now
     return SeedingSurvey(
         total=comb(n, k),

@@ -10,6 +10,7 @@ itself, a lookup in a table of block boundaries, is checked against plain
 ``Fraction`` arithmetic.
 """
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -148,6 +149,81 @@ def _valid_configs(k, count, seed):
 @pytest.mark.parametrize("cfg", list(_valid_configs(8, 3, seed=8)))
 def test_k8_configs_match_reference(cfg):
     assert survey_seedings(cfg) == reference_survey(cfg)
+
+
+# k=8, the oracle benchmark's k, which the hypothesis sweeps stop short of
+K8_CONFIGS = {
+    "entries-1..4": ((2, 2, 2, 3, 3, 3, 3, 3), (3, 1, 3, 2, 4, 2, 1)),
+    "entries-1..50": ((23, 43, 30, 30, 23, 37, 47, 36), (47, 30, 32, 43, 15, 21, 45)),
+    "empty-rule": ((42, 14, 41, 5, 4, 2, 12, 2), (37, 43, 19, 10, 6, 28, 38)),
+}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("a, p", list(K8_CONFIGS.values()), ids=list(K8_CONFIGS))
+def test_k8_fixed_configs_match_reference_at_every_cap(a, p, cap):
+    cfg = DistanceConfig(a, p)
+    survey = survey_seedings(cfg, cap)
+    assert survey == reference_survey(cfg, cap)  # every field, tied order included
+    if cap == DEFAULT_CAP:
+        assert survey.first_failing is not None
+        assert survey.empty_rule_used == (a == K8_CONFIGS["empty-rule"][0])
+
+
+def test_k8_small_entries_tie_at_the_first_and_the_last_seed():
+    # the premise of the entries-1..4 config above: a step-0 tie between the
+    # first two seeds ties a whole subtree, one between the last two a last seed
+    cfg = DistanceConfig(*K8_CONFIGS["entries-1..4"])
+    cuts = LineEngine(embed(cfg)).step0_cuts()
+    tied = survey_seedings(cfg).tied
+    assert any(cuts[s.indices[0]][s.indices[1]] is None for s in tied)
+    assert any(
+        cuts[s.indices[-2]][s.indices[-1]] is None
+        and all(cuts[i][j] is not None for i, j in zip(s.indices, s.indices[1:-1]))
+        for s in tied
+    )
+
+
+def _assert_seedings_valid(survey, k):
+    """The survey's seedings, built unchecked, are ones ``Seeding`` accepts."""
+    built = [*survey.tied, *([survey.first_failing] if survey.first_failing else [])]
+    for seeding in built:
+        assert seeding == Seeding(list(seeding.indices))
+        ix = seeding.indices
+        assert type(ix) is tuple and all(type(i) is int for i in ix)
+        assert len(ix) == k and 1 <= ix[0] and ix[-1] <= 2 * k
+        assert all(i < j for i, j in zip(ix, ix[1:]))
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("a, p", EMPTY_RULE_CONFIGS)
+def test_surveyed_seedings_are_valid_on_empty_rule_configs(a, p, cap):
+    cfg = DistanceConfig(a, p)
+    _assert_seedings_valid(survey_seedings(cfg, cap), cfg.k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(4), st.sampled_from(CAPS))
+def test_surveyed_seedings_are_valid(cfg, cap):
+    _assert_seedings_valid(survey_seedings(cfg, cap), cfg.k)
+
+
+@pytest.mark.parametrize(
+    "a, p",
+    [((3,), ()), EMPTY_RULE_CONFIGS[0], K8_CONFIGS["entries-1..4"]],
+    ids=["k1", "k6-empty-rule", "k8"],
+)
+def test_survey_leaves_no_reference_cycles(a, p):
+    # a cycle through the walk's closures would keep the memo alive until the
+    # next collection, which shows as peak memory on long runs
+    cfg = DistanceConfig(a, p)
+    gc.collect()
+    gc.disable()
+    try:
+        survey_seedings(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
