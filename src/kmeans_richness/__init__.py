@@ -61,7 +61,6 @@ from .verify import (
     SeedingSurvey,
     campaign,
     certify_config,
-    check_plan,
     default_regions,
     exists_failing_seeding,
     recheck_certificate,

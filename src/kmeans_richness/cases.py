@@ -265,9 +265,5 @@ def classify(cfg: DistanceConfig) -> CaseLabel:
 
 def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:
     """The prescribed seeding(s) for a valid configuration's case."""
-    if cfg.k < 4:
-        raise ValueError(f"no case analysis for k={cfg.k}")
-    _require_valid(cfg)
-    a, p, _den = cfg._ints
-    label = label_of(a, p)
+    label = classify(cfg)
     return _adversarial_plan4(label) if cfg.k == 4 else _adversarial_plan_k(label, cfg.k)

@@ -197,14 +197,15 @@ def _iterate(
     seed_indices: Sequence[int],
     cap: int,
     history: list[_RawStep] | None = None,
-) -> tuple[str, tuple[int, ...] | None, bool, int, _Tie | None]:
+) -> tuple[str, tuple[int, ...] | _Tie | None, bool, int]:
     """The one strict Lloyd loop, from the seeded centroids.
 
-    Returns (kind, final labels, empty rule used, steps, tie), where tie is
-    (step, 1-based point, (j, j+1)) when kind is "tie".  Clusters on the line
-    stay contiguous, so each step's partition is its cut tuple; labels are
-    built only for ``history`` (when a list, each step's (centroids, empty
-    mask, labels) is appended to it) and for the final partition.
+    Returns (kind, detail, empty rule used, steps).  ``detail`` is the final
+    labels when kind is "converged", the tie (step, 1-based point, (j, j+1))
+    when it is "tie", and None on "cap-exceeded".  Clusters on the line stay
+    contiguous, so each step's partition is its cut tuple; labels are built
+    only for ``history`` (when a list, each step's (centroids, empty mask,
+    labels) is appended to it) and for the final partition.
     """
     n = len(xs)
     cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
@@ -218,16 +219,16 @@ def _iterate(
                 history.append((cents, empty, None))
             # boundaries strictly increase, so the lowest tied one holds the first tied point
             j = next(j for j, cut in enumerate(cuts) if cut < 0)
-            return "tie", None, empty_seen, step + 1, (step, ~cuts[j] + 1, (j, j + 1))
+            return "tie", (step, ~cuts[j] + 1, (j, j + 1)), empty_seen, step + 1
         if history is not None:
             history.append((cents, empty, _labels(cuts, n)))
         if cuts == prev:
-            return "converged", _labels(cuts, n), empty_seen, step + 1, None
+            return "converged", _labels(cuts, n), empty_seen, step + 1
         prev = cuts
         cents, empty = _means(prefix, cuts, cents)
         if not empty_seen and any(empty):
             empty_seen = True
-    return "cap-exceeded", None, empty_seen, cap, None
+    return "cap-exceeded", None, empty_seen, cap
 
 
 class LineEngine:
@@ -270,14 +271,12 @@ class LineEngine:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
         steps: list[_RawStep] = []
-        kind, final, _empty, _steps, tie = _iterate(
-            self._xs, self._prefix, seeding.indices, cap, steps
-        )
+        kind, detail, _empty, _steps = _iterate(self._xs, self._prefix, seeding.indices, cap, steps)
         outcome: Outcome
         if kind == "converged":
-            outcome = Converged(Partition(final))
-        elif tie is not None:
-            outcome = TieEncountered(*tie)
+            outcome = Converged(Partition(detail))
+        elif kind == "tie":
+            outcome = TieEncountered(*detail)
         else:
             outcome = IterationCapExceeded(cap)
         return self._materialize(seeding, steps, outcome)
@@ -302,13 +301,9 @@ class LineEngine:
 
     def run_lean(
         self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
-    ) -> tuple[str, tuple[int, ...] | None, bool, int]:
-        """History-free strict run: (kind, final labels, empty rule used, steps)."""
-        return _iterate(self._xs, self._prefix, seed_indices, cap)[:4]
-
-    def _tie(self, seed_indices: tuple[int, ...]) -> _Tie | None:
-        """Where a strict run from these seeds ties: (step, 1-based point, (j, j+1))."""
-        return _iterate(self._xs, self._prefix, seed_indices, DEFAULT_CAP)[4]
+    ) -> tuple[str, tuple[int, ...] | _Tie | None, bool, int]:
+        """History-free strict run: (kind, final labels or tie, empty rule used, steps)."""
+        return _iterate(self._xs, self._prefix, seed_indices, cap)
 
     def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | None:
         """One Lloyd step from a partition with no empty block, given as cuts.

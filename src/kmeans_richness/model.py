@@ -9,6 +9,7 @@ whole point of the exercise.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,7 +237,7 @@ class Partition:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(map(operator.index, self.labels))
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("empty partition")
@@ -293,7 +294,7 @@ class Seeding:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(sorted(int(i) for i in self.indices))
+        indices = tuple(sorted(map(operator.index, self.indices)))
         object.__setattr__(self, "indices", indices)
         if not indices:
             raise ValueError("empty seeding")

@@ -94,6 +94,8 @@ def survey_seedings(
     seeds instead, once per first partition; only those runs can set
     ``empty_rule_used``.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     engine = _engine or LineEngine._of_config(cfg)
     k = cfg.k
     n = 2 * k
@@ -346,14 +348,14 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, Line
     target = model.target_partition(cfg.k).labels  # a final with k blocks has canonical labels
     reached, reason = [], None
     for seeding in plan.candidates:
-        kind, final, _empty, _steps = engine.run_lean(seeding.indices)
+        kind, detail, _empty, _steps = engine.run_lean(seeding.indices)
         if kind != "converged":
             reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
-            if tie := engine._tie(seeding.indices):
-                _step, i, pair = tie
+            if kind == "tie":
+                _step, i, pair = detail
                 reason = f"tie during candidate {seeding}: point {i} between clusters {list(pair)}"
             break
-        reached.append(final == target)
+        reached.append(detail == target)
     violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
     verdict = VERDICT_SKIPPED if reason else VERDICT_VIOLATED if violated else VERDICT_HOLDS
     survey = survey_seedings(cfg, _engine=engine) if oracle and not reason else None
@@ -368,11 +370,6 @@ def _with_runs(cert: Certificate, pairs: tuple, engine: LineEngine, traced: bool
     witness = engine.run_strict(failing) if traced and failing is not None else None
     records = tuple(CandidateRecord(name, engine.run_strict(s)) for name, s in pairs)
     return replace(cert, candidates=records, witness_trace=witness, traced=traced)
-
-
-def check_plan(cfg: DistanceConfig) -> Certificate:
-    """Run only the case-prescribed seedings; the oracle runs only if there is no plan."""
-    return certify_config(cfg, oracle=False)
 
 
 def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = False) -> Certificate:

@@ -347,12 +347,24 @@ class TestBranchReference:
             k = rng.randint(1, 6)
             points = embed(tie_prone_config(rng, k))
             seeding = random_seeding(rng, k)
+            engine = lloyd.LineEngine(points)
             for cap in (1, 2, 3, DEFAULT_CAP):
                 traces = run(points, seeding, TiePolicy.BRANCH, cap)
                 assert branch_digests(traces) == branch_digests(
                     reference_branch(points, seeding, cap)
                 )
                 multi += len(traces) > 1
+                # the lean run's (kind, detail) is the strict outcome: final
+                # labels, the tie's (step, point, clusters), or None on the cap
+                lean = engine.run_lean(seeding.indices, cap)
+                outcome = engine.run_strict(seeding, cap).outcome
+                detail = None
+                if isinstance(outcome, Converged):
+                    detail = outcome.final.labels
+                elif isinstance(outcome, TieEncountered):
+                    detail = (outcome.step_index, outcome.point_index, outcome.clusters)
+                assert len(lean) == 4
+                assert lean[:2] == (outcome.kind, detail)
         assert multi > 200
 
     def test_empty_cluster_config_every_seeding(self):

@@ -191,6 +191,13 @@ class TestPartition:
         assert Partition((0, 0, 1, 1)).is_contiguous()
         assert not Partition((0, 1, 0, 1)).is_contiguous()
 
+    def test_labels_must_be_integers(self):
+        assert Partition((True, False)).labels == (1, 0)
+        assert type(Partition((True, False)).labels[0]) is int
+        for labels in ((0.7, 1.2), ("0", "1")):
+            with pytest.raises(TypeError):
+                Partition(labels)
+
 
 class TestSeeding:
     def test_sorted_and_distinct(self):
@@ -199,6 +206,13 @@ class TestSeeding:
             Seeding((1, 1, 2, 3))
         with pytest.raises(ValueError):
             Seeding((0, 1))
+
+    def test_indices_must_be_integers(self):
+        # no truncation or parsing: (2.9, 4.1) is not {2,4}
+        assert Seeding((True, 3)).indices == (1, 3)
+        for indices in ((2.9, 4.1), ("2", "4")):
+            with pytest.raises(TypeError):
+                Seeding(indices)
 
     def test_str(self):
         assert str(Seeding((2, 4, 5, 7))) == "{2,4,5,7}"

@@ -114,6 +114,13 @@ def test_tied_empty_rule_config_counts():
     assert len(survey.tied) == 23
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_rejected(cap):
+    # the per-seeding reference would count every seeding as capped, step-0 ties included
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        survey_seedings(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), cap)
+
+
 @st.composite
 def configs(draw, high):
     k = draw(st.integers(1, 7))

@@ -30,7 +30,6 @@ from kmeans_richness.verify import (
     RegionSpec,
     campaign,
     certify_config,
-    check_plan,
     default_regions,
     exists_failing_seeding,
     recheck_certificate,
@@ -114,8 +113,11 @@ class TestRichnessViolation:
 
 
 class TestCheckPlan:
+    """``certify_config`` with the oracle off: the plan's runs, and the oracle only
+    where there is no plan."""
+
     def test_aa_example(self):
-        cert = check_plan(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
+        cert = certify_config(DistanceConfig((1, 3, 3, 1), (2, 2, 2)), oracle=False)
         assert cert.label == "AA"
         assert cert.verdict == VERDICT_HOLDS
         record = cert.candidates[0]
@@ -125,7 +127,7 @@ class TestCheckPlan:
         assert cert.oracle is None  # plan check leaves the oracle off
 
     def test_add_uniform_gaps(self):
-        cert = check_plan(DistanceConfig((1, 1, 1, 1), (3, 3, 3)))
+        cert = certify_config(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), oracle=False)
         assert cert.label == "ADD"
         assert cert.semantics == "any-must-fail"
         assert cert.verdict == VERDICT_HOLDS
@@ -135,12 +137,12 @@ class TestCheckPlan:
         assert not s1.reached_target
 
     def test_add_wide_gaps(self):
-        cert = check_plan(DistanceConfig((1, 1, 1, 1), (10, 10, 10)))
+        cert = certify_config(DistanceConfig((1, 1, 1, 1), (10, 10, 10)), oracle=False)
         assert cert.verdict == VERDICT_HOLDS
 
     def test_unclassified_falls_back_to_oracle(self):
         cfg = DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2))
-        cert = check_plan(cfg)
+        cert = certify_config(cfg, oracle=False)
         assert cert.label == "UNCLASSIFIED"
         assert cert.semantics == "oracle-only"
         assert cert.candidates == ()
@@ -148,13 +150,13 @@ class TestCheckPlan:
         assert cert.verdict == VERDICT_HOLDS
 
     def test_small_k_judged_by_oracle(self):
-        cert = check_plan(DistanceConfig((1, 1), (10,)))
+        cert = certify_config(DistanceConfig((1, 1), (10,)), oracle=False)
         assert cert.label is None
         assert cert.verdict == VERDICT_VIOLATED  # every seeding reaches the pairing
         assert cert.oracle.reached_count == 6
 
     def test_classification_tie_skips(self):
-        cert = check_plan(DistanceConfig((2, 2, 3, 1), (2, 2, 2)))
+        cert = certify_config(DistanceConfig((2, 2, 3, 1), (2, 2, 2)), oracle=False)
         assert cert.verdict == VERDICT_SKIPPED
         assert "tie" in cert.skip_reason
 
@@ -186,7 +188,7 @@ class TestExistsFailingSeeding:
         spec = RegionSpec(k=4, target="all-valid", bound=20)
         for _ in range(15):
             cfg = sample_config(spec, rng)
-            plan_cert = check_plan(cfg)
+            plan_cert = certify_config(cfg, oracle=False)
             if plan_cert.verdict != VERDICT_HOLDS:
                 continue
             oracle_cert = exists_failing_seeding(cfg)
@@ -232,11 +234,14 @@ class TestCertifyConfig:
         def traced(cfg):
             return certify_config(cfg, include_traces=True)
 
+        def plan_only(cfg):
+            return certify_config(cfg, oracle=False)
+
         for build, cfg in (
             (traced, add),
             (traced, DistanceConfig((3, 3, 1, 1, 1), (1, 4, 2, 2))),  # UNCLASSIFIED, oracle-only
             (traced, DistanceConfig((1, 1), (10,))),  # no plan below k=4
-            (check_plan, add),
+            (plan_only, add),
             (exists_failing_seeding, add),  # oracle-only, though the config has a plan
             (certify_config, add),  # no traces
             (traced, DistanceConfig((2, 2, 3, 1), (2, 2, 2))),  # classification tie
@@ -420,6 +425,14 @@ class TestDecision:
         cert = self.check(parse_config(text), oracle)
         assert cert.verdict == verdict
         assert (cert.skip_reason or "").startswith(reason or "")
+
+    def test_tied_candidate_runs_once(self, monkeypatch):
+        # the skip reason comes from the lean run that found the tie, not a rerun
+        iterate, calls = lloyd._iterate, []
+        monkeypatch.setattr(lloyd, "_iterate", lambda *args: calls.append(args) or iterate(*args))
+        cert, _pairs, _engine = verify._decide(parse_config("a=2,2,1,1; p=1,1,1"), True)
+        assert cert.skip_reason.startswith("tie during candidate {1,3,5,7}")
+        assert len(calls) == 1
 
     def test_cap_path(self, monkeypatch):
         lean, strict = LineEngine.run_lean, LineEngine.run_strict
