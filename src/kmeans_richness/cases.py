@@ -200,58 +200,40 @@ PAIRING_BREAKERS = (
 
 
 @cache
-def _adversarial_plan4(label: CaseLabel) -> AdversarialPlan:
-    """The prescribed seeding(s) for a k=4 label, built once per label."""
-    if label.tag == "ADD":
-        return AdversarialPlan(
-            label,
-            tuple(Seeding(s) for _, s in PAIRING_BREAKERS),
-            tuple(name for name, _ in PAIRING_BREAKERS),
-            PlanSemantics.ANY_MUST_FAIL,
-        )
-    seeding = Seeding(_SEEDS4[label.tag])
-    if label.mirrored:
-        seeding = mirror_seeding(seeding, 4)
-    return AdversarialPlan(label, (seeding,), (None,), PlanSemantics.ALL_MUST_FAIL)
-
-
-def _bc_seeding(m: int, k: int) -> Seeding:
-    indices = tuple(2 * j for j in range(1, m + 1))
-    indices += (2 * m + 2,)
-    indices += tuple(2 * j - 1 for j in range(m + 2, k + 1))
-    return Seeding(indices)
-
-
-@cache
-def _adversarial_plan_k(label: CaseLabel, k: int) -> AdversarialPlan:
-    """The prescribed seeding(s) for a label at k>4, built once per (label, k)."""
+def _adversarial_plan(label: CaseLabel, k: int) -> AdversarialPlan:
+    """The prescribed seeding(s) for a label at k>=4, built once per (label, k)."""
     if label.tag == UNCLASSIFIED:
         raise UnclassifiedConfigError(
             "mixed pit/peak configuration with no monotone gap; fall back to exhaustive search"
         )
-    if label.tag == "BA":
-        seeds = (Seeding((2, 4) + tuple(2 * j - 1 for j in range(3, k + 1))),)
-        return AdversarialPlan(label, seeds, (None,), PlanSemantics.ALL_MUST_FAIL)
-    if label.tag == "BB":
-        seeds = (Seeding((1,) + tuple(2 * j - 1 for j in range(2, k + 1))),)
-        return AdversarialPlan(label, seeds, (None,), PlanSemantics.ALL_MUST_FAIL)
-    if label.tag == "BC":
+    if label.tag in ("ADD", "BE"):
+        # the k=4 candidate set on the first eight points, one seed per
+        # remaining pair at its odd point (no tail at k=4)
+        tail = tuple(2 * j - 1 for j in range(5, k + 1))
+        seeds = tuple(Seeding(base + tail) for _, base in PAIRING_BREAKERS)
+        names = tuple(name for name, _ in PAIRING_BREAKERS)
+        return AdversarialPlan(label, seeds, names, PlanSemantics.ANY_MUST_FAIL)
+    if label.tag in _SEEDS4:
+        seeding = Seeding(_SEEDS4[label.tag])
+    elif label.tag == "BA":
+        seeding = Seeding((2, 4) + tuple(2 * j - 1 for j in range(3, k + 1)))
+    elif label.tag == "BB":
+        seeding = Seeding((1,) + tuple(2 * j - 1 for j in range(2, k + 1)))
+    elif label.tag == "BC":
         assert label.param is not None
-        base = _bc_seeding(label.param, k)
-        seeding = mirror_seeding(base, k) if label.mirrored else base
-        return AdversarialPlan(label, (seeding,), (None,), PlanSemantics.ALL_MUST_FAIL)
-    if label.tag == "BD":
+        m = label.param
+        indices = tuple(2 * j for j in range(1, m + 1)) + (2 * m + 2,)
+        indices += tuple(2 * j - 1 for j in range(m + 2, k + 1))
+        seeding = Seeding(indices)
+    else:  # BD
         assert label.param is not None
         i = label.param
         indices = tuple(2 * j - 1 for j in range(1, i + 1))
         indices += tuple(2 * j - 2 for j in range(i + 1, k + 1))
-        return AdversarialPlan(label, (Seeding(indices),), (None,), PlanSemantics.ALL_MUST_FAIL)
-    # BE: reuse the k=4 candidate set on the first eight points, one seed per
-    # remaining pair at its odd point
-    tail = tuple(2 * j - 1 for j in range(5, k + 1))
-    seeds = tuple(Seeding(base + tail) for _, base in PAIRING_BREAKERS)
-    names = tuple(name for name, _ in PAIRING_BREAKERS)
-    return AdversarialPlan(label, seeds, names, PlanSemantics.ANY_MUST_FAIL)
+        seeding = Seeding(indices)
+    if label.mirrored:
+        seeding = mirror_seeding(seeding, k)
+    return AdversarialPlan(label, (seeding,), (None,), PlanSemantics.ALL_MUST_FAIL)
 
 
 def classify(cfg: DistanceConfig) -> CaseLabel:
@@ -266,4 +248,4 @@ def classify(cfg: DistanceConfig) -> CaseLabel:
 def adversarial_plan(cfg: DistanceConfig) -> AdversarialPlan:
     """The prescribed seeding(s) for a valid configuration's case."""
     label = classify(cfg)
-    return _adversarial_plan4(label) if cfg.k == 4 else _adversarial_plan_k(label, cfg.k)
+    return _adversarial_plan(label, cfg.k)

@@ -201,12 +201,14 @@ def _iterate(
     """The one strict Lloyd loop, from the seeded centroids.
 
     Returns (kind, detail, empty rule used, steps).  ``detail`` is the final
-    labels when kind is "converged", the tie (step, 1-based point, (j, j+1))
-    when it is "tie", and None on "cap-exceeded".  Clusters on the line stay
-    contiguous, so each step's partition is its cut tuple; labels are built
-    only for ``history`` (when a list, each step's (centroids, empty mask,
-    labels) is appended to it) and for the final partition.
+    partition's cuts when kind is "converged", the tie (step, 1-based point,
+    (j, j+1)) when it is "tie", and None on "cap-exceeded".  Clusters on the
+    line stay contiguous, so each step's partition is its cut tuple; labels
+    are built only for ``history`` (when a list, each step's (centroids,
+    empty mask, labels) is appended to it).
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     n = len(xs)
     cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
     empty: tuple[bool, ...] = (False,) * len(seed_indices)
@@ -223,7 +225,7 @@ def _iterate(
         if history is not None:
             history.append((cents, empty, _labels(cuts, n)))
         if cuts == prev:
-            return "converged", _labels(cuts, n), empty_seen, step + 1
+            return "converged", cuts, empty_seen, step + 1
         prev = cuts
         cents, empty = _means(prefix, cuts, cents)
         if not empty_seen and any(empty):
@@ -267,42 +269,22 @@ class LineEngine:
         return LloydTrace(seeding, out, outcome)
 
     def run_strict(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> LloydTrace:
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
         steps: list[_RawStep] = []
         kind, detail, _empty, _steps = _iterate(self._xs, self._prefix, seeding.indices, cap, steps)
         outcome: Outcome
         if kind == "converged":
-            outcome = Converged(Partition(detail))
+            outcome = Converged(Partition(steps[-1][2]))
         elif kind == "tie":
             outcome = TieEncountered(*detail)
         else:
             outcome = IterationCapExceeded(cap)
         return self._materialize(seeding, steps, outcome)
 
-    def step0_cuts(self) -> list[list[int | None]]:
-        """Where a step-0 assignment splits the points, per pair of seeds.
-
-        ``cuts[i][j]`` for 1-based point indices i < j is how many points lie
-        strictly left of the midpoint of points i and j, or None when a point
-        lies exactly on it (a nearest-distance tie).  Seeded at i and j with
-        no seed between them, step 0 separates the two clusters there.
-        """
-        xs = self._xs
-        n = len(xs)
-        cuts: list[list[int | None]] = [[None] * (n + 1) for _ in range(n + 1)]
-        for i in range(1, n):
-            row = cuts[i]
-            for j in range(i + 1, n + 1):
-                cut = _boundary(xs, xs[i - 1], 1, xs[j - 1], 1)
-                row[j] = None if cut < 0 else cut
-        return cuts
-
     def run_lean(
         self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
     ) -> tuple[str, tuple[int, ...] | _Tie | None, bool, int]:
-        """History-free strict run: (kind, final labels or tie, empty rule used, steps)."""
+        """History-free strict run: (kind, final cuts or tie, empty rule used, steps)."""
         return _iterate(self._xs, self._prefix, seed_indices, cap)
 
     def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | None:

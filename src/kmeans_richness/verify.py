@@ -76,8 +76,8 @@ def survey_seedings(
 
     Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
     number of points left of each block boundary).  A seeding's first
-    partition is the tuple of step-0 cuts between adjacent seeds
-    (``LineEngine.step0_cuts``).  The seedings are walked depth first, one
+    partition is the tuple of step-0 cuts between adjacent seeds, one
+    ``lloyd._boundary`` per pair.  The seedings are walked depth first, one
     cut per seed, so seedings share their prefix's cuts, and a point on a
     midpoint ties the whole subtree.  The last seed adds no later cut, so
     the last seeds after one prefix are taken in runs of equal step-0 cut,
@@ -100,10 +100,13 @@ def survey_seedings(
     k = cfg.k
     n = 2 * k
     target = tuple(range(2, n, 2))
-    # step-0 cuts as one-entry tuples; row 0 is "no seed yet" and adds no cut
-    rows = [[()] * (n + 1)] + [
-        [None if c is None else (c,) for c in row] for row in engine.step0_cuts()[1:]
-    ]
+    # rows[i][j], seeds i < j: the step-0 cut between them as a one-entry
+    # tuple, None on a midpoint tie; row 0 is "no seed yet" and adds no cut
+    xs = engine._xs
+    rows = [[()] * (n + 1)]
+    for i, x in enumerate(xs, 1):
+        cuts = (lloyd._boundary(xs, x, 1, y, 1) for y in xs[i:])
+        rows.append([None] * (i + 1) + [None if cut < 0 else (cut,) for cut in cuts])
     # per row, the last seeds j in order, grouped into runs of equal step-0 cut
     runs = [
         [(cut, list(js)) for cut, js in groupby(range(i + 1, n + 1), row.__getitem__)]
@@ -143,9 +146,8 @@ def survey_seedings(
         outcome, depth = memo[first]
         if outcome is None:
             outcome, final, empty_seen, _steps = engine.run_lean(indices, cap)
-            if outcome == "converged":  # labels of a final with k blocks are canonical
-                reached = final == model.target_partition(k).labels
-                outcome = "reached" if reached else "failed"
+            if outcome == "converged":
+                outcome = "reached" if final == target else "failed"
             empty_used = empty_used or empty_seen
         elif depth >= cap:
             outcome = "cap-exceeded"
@@ -345,7 +347,7 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, Line
     if plan is None:
         return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None, engine), (), engine
 
-    target = model.target_partition(cfg.k).labels  # a final with k blocks has canonical labels
+    target = tuple(range(2, 2 * cfg.k, 2))  # the pairing's cuts
     reached, reason = [], None
     for seeding in plan.candidates:
         kind, detail, _empty, _steps = engine.run_lean(seeding.indices)

@@ -11,7 +11,7 @@ from kmeans_richness.cases import (
     ClassificationTieError,
     PlanSemantics,
     UnclassifiedConfigError,
-    _adversarial_plan_k,
+    _adversarial_plan,
     adversarial_plan,
     classify,
 )
@@ -302,9 +302,9 @@ class TestPlanK:
             parsed = CaseLabel.parse(target)
             for param in _region_params(k, parsed) or (None,):
                 label = dataclasses.replace(parsed, param=param)
-                plan = _adversarial_plan_k(label, k)
-                assert _adversarial_plan_k(label, k) is plan
-                assert plan == _adversarial_plan_k.__wrapped__(label, k)
+                plan = _adversarial_plan(label, k)
+                assert _adversarial_plan(label, k) is plan
+                assert plan == _adversarial_plan.__wrapped__(label, k)
 
 
 class TestDispatch:

@@ -30,6 +30,16 @@ class TestClassifyCommand:
         assert code == 0
         assert out.startswith("ADD; plan: any-must-fail [S1={2,5,7,8}, S2={1,2,4,7},")
 
+    def test_unclassified(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "a=3,3,1,1,1; p=1,4,2,2")
+        assert code == 0
+        assert out.strip() == "UNCLASSIFIED; plan: none (exhaustive search applies)"
+        code, out, _ = run_cli(capsys, "classify", "a=3,3,1,1,1; p=1,4,2,2", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["label"] == "UNCLASSIFIED"
+        assert data["plan"] is None
+
     def test_non_positive_distance(self, capsys):
         code, _, err = run_cli(capsys, "classify", "a=0,1,1,1; p=1,1,1")
         assert code == 2

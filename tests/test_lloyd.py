@@ -355,12 +355,14 @@ class TestBranchReference:
                 )
                 multi += len(traces) > 1
                 # the lean run's (kind, detail) is the strict outcome: final
-                # labels, the tie's (step, point, clusters), or None on the cap
+                # cuts (points in blocks 0..j, per j < k-1; an empty block
+                # repeats a cut), the tie's (step, point, clusters), or None
                 lean = engine.run_lean(seeding.indices, cap)
                 outcome = engine.run_strict(seeding, cap).outcome
                 detail = None
                 if isinstance(outcome, Converged):
-                    detail = outcome.final.labels
+                    labels = outcome.final.labels
+                    detail = tuple(sum(label <= j for label in labels) for j in range(k - 1))
                 elif isinstance(outcome, TieEncountered):
                     detail = (outcome.step_index, outcome.point_index, outcome.clusters)
                 assert len(lean) == 4

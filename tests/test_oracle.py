@@ -46,8 +46,8 @@ def reference_survey(cfg, cap=DEFAULT_CAP):
     for indices in combinations(range(1, n + 1), cfg.k):
         kind, final, empty_seen, _steps = engine.run_lean(indices, cap)
         empty_used = empty_used or empty_seen
-        if kind == "converged":
-            if Partition(final) == target:
+        if kind == "converged":  # final is the cuts: point i's block is the cuts <= i
+            if Partition(tuple(sum(cut <= i for cut in final) for i in range(n))) == target:
                 reached += 1
             else:
                 failed += 1
@@ -119,6 +119,10 @@ def test_cap_below_one_rejected(cap):
     # the per-seeding reference would count every seeding as capped, step-0 ties included
     with pytest.raises(ValueError, match="cap must be >= 1"):
         survey_seedings(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), cap)
+    # a lean run shares the strict run's check; the seeding would tie at step 0
+    engine = LineEngine(embed(DistanceConfig((2, 2, 1, 1), (1, 1, 1))))
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        engine.run_lean((1, 3, 5, 7), cap)
 
 
 @st.composite
@@ -181,12 +185,15 @@ def test_k8_small_entries_tie_at_the_first_and_the_last_seed():
     # the premise of the entries-1..4 config above: a step-0 tie between the
     # first two seeds ties a whole subtree, one between the last two a last seed
     cfg = DistanceConfig(*K8_CONFIGS["entries-1..4"])
-    cuts = LineEngine(embed(cfg)).step0_cuts()
+    xs = embed(cfg).positions
+
+    def tie(i, j):  # a point lies on the midpoint of points i and j
+        return (xs[i - 1] + xs[j - 1]) / 2 in xs
+
     tied = survey_seedings(cfg).tied
-    assert any(cuts[s.indices[0]][s.indices[1]] is None for s in tied)
+    assert any(tie(*s.indices[:2]) for s in tied)
     assert any(
-        cuts[s.indices[-2]][s.indices[-1]] is None
-        and all(cuts[i][j] is not None for i, j in zip(s.indices, s.indices[1:-1]))
+        tie(*s.indices[-2:]) and not any(tie(i, j) for i, j in zip(s.indices, s.indices[1:-1]))
         for s in tied
     )
 

@@ -18,7 +18,6 @@ from kmeans_richness.model import (
     is_valid,
     parse_config,
     scale_config,
-    target_partition,
     validate,
 )
 from kmeans_richness.lloyd import LineEngine, trace_digest
@@ -65,11 +64,10 @@ class TestSurvey:
     def test_witness_behaviour_matches_runs(self):
         cfg = DistanceConfig((1, 1, 1, 1), (3, 3, 3))
         engine = LineEngine(embed(cfg))
-        target = target_partition(4)
         kind, final, _, _ = engine.run_lean((1, 3, 5, 7))
-        assert kind == "converged" and target.labels == final
+        assert kind == "converged" and final == (2, 4, 6)  # the pairing's cuts
         kind, final, _, _ = engine.run_lean((2, 5, 7, 8))
-        assert kind == "converged" and target != target.__class__(final)
+        assert kind == "converged" and final != (2, 4, 6)
 
 
 class TestSuccessProbability:
@@ -631,6 +629,23 @@ class TestCampaign:
         assert report.regions[0].error is not None
         assert report.regions[1].error is None
         assert report.regions[1].holds == 2
+
+    def test_tie_retries_exhausted(self, monkeypatch):
+        # every attempt of a slot skipped: the region stops at its first slot,
+        # and the next region still runs
+        def skipped(cfg, oracle):
+            reason = "classification tie: forced"
+            cert = verify.Certificate(cfg, None, "oracle-only", (), VERDICT_SKIPPED, reason, None)
+            return cert, (), None
+
+        monkeypatch.setattr(verify, "_decide", skipped)
+        regions = (RegionSpec(k=4, target="AA", bound=12), RegionSpec(k=4, target="AB", bound=12))
+        report = campaign(regions, 3, rng_seed=6)
+        assert len(report.regions) == 2
+        for result in report.regions:
+            assert result.error == "tie retries exhausted at sample 0"
+            assert result.samples == result.ties_skipped == verify.TIE_RETRIES
+            assert result.holds == 0
 
     def test_small_k_notes_no_theorem_claim(self):
         report = campaign((RegionSpec(k=2, target="all-valid", bound=6),), 2, rng_seed=3)
