@@ -72,18 +72,26 @@ class SeedingSurvey:
 def survey_seedings(
     cfg: DistanceConfig, cap: int = DEFAULT_CAP, _engine: LineEngine | None = None
 ) -> SeedingSurvey:
-    """Tally where every seeding lands, visiting them in lexicographic order.
+    """Tally where every seeding lands, in lexicographic order.
 
     Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
     number of points left of each block boundary).  A seeding's first
     partition is the tuple of step-0 cuts between adjacent seeds, one
-    ``lloyd._boundary`` per pair.  The seedings are walked depth first, one
-    cut per seed, so seedings share their prefix's cuts, and a point on a
-    midpoint ties the whole subtree.  The last seed adds no later cut, so
-    the last seeds after one prefix are taken in runs of equal step-0 cut,
-    one first partition per run, by a routine that the second-to-last
-    seed's loop calls directly.  The walk's indices are sorted, distinct
-    and 1-based by construction, so its seedings skip ``Seeding``'s checks.
+    ``lloyd._boundary`` per pair, and a point on a midpoint ties every
+    seeding through that pair.  The seedings that extend a prefix depend on
+    it only through its last seed and its cuts so far, so the seedings below
+    each such state are tallied once, depth first in lexicographic order,
+    and the tallies are added again wherever another prefix reaches the
+    state.  The last seed adds no later cut, so the last seeds after one
+    state are taken in runs of equal step-0 cut, one first partition per
+    run; a state with one seed to come is tallied wherever it is reached,
+    since its runs cost less than a memo entry.  A state is first reached
+    before any prefix that reaches it again, so ``first_failing``, and the
+    seeds each first partition is run from, are those of a walk over every
+    seeding.  Each state lists its tied seedings as entries that link to its
+    tied subtrees and its children's entries; they are built once, at the
+    end, in order.  Their indices are sorted, distinct and 1-based by
+    construction, so they skip ``Seeding``'s checks.
 
     A partition with no empty block fixes the next centroids, so one Lloyd
     step runs per distinct such partition: a memo maps its cuts to the
@@ -116,9 +124,7 @@ def survey_seedings(
     memo: dict[tuple[int, ...], tuple[str | None, int]] = {}
     # first partition's cuts -> the outcome of its seedings under cap
     settled: dict[tuple[int, ...], str] = {}
-    counts = {"reached": 0, "failed": 0, "tie": 0, "cap-exceeded": 0}
     first_failing: Seeding | None = None
-    tied: list[Seeding] = []
     empty_used = False
 
     def settle(first: tuple[int, ...], indices: tuple[int, ...]) -> str:
@@ -154,54 +160,90 @@ def survey_seedings(
         settled[first] = outcome
         return outcome
 
-    seeding = Seeding._of_sorted  # the walk's indices are sorted, distinct and 1-based
+    # per last seed, the step-0 cuts so far -> the tallies below that state
+    states: list[dict] = [{} for _ in range(n + 1)]
 
-    def last(seeds: tuple[int, ...], key: tuple[int, ...], i: int) -> None:
-        """Tally the seedings ``seeds`` + j for every last seed j > i."""
+    def tally(seeds: tuple[int, ...], key: tuple[int, ...], i: int, left: int) -> tuple:
+        """(reached, failed, tie, cap, tied entries) of ``seeds`` (last seed i,
+        step-0 cuts ``key``) extended by ``left`` + 1 seeds, all after i."""
         nonlocal first_failing
-        for cut, js in runs[i]:
+        reached = failed = tie = capped = 0
+        entries: list = []
+        if left:
+            row = rows[i]
+            for j in range(i + 1, n - left + 1):  # room for the seeds to come
+                cut = row[j]
+                if cut is None:  # every seeding below ties
+                    tie += comb(n - j, left)
+                    entries.append((j, left))
+                    continue
+                sub = key + cut
+                if left == 1:  # one seed to come: its runs cost less than a memo entry
+                    state = tally((*seeds, j), sub, j, 0)
+                else:
+                    known = states[j]
+                    state = known.get(sub)
+                    if state is None:
+                        state = known[sub] = tally((*seeds, j), sub, j, left - 1)
+                r, f, t, c, below = state
+                reached += r
+                failed += f
+                tie += t
+                capped += c
+                if below:
+                    entries.append((j, below))
+            return reached, failed, tie, capped, entries or ()
+        for cut, js in runs[i]:  # the last seed: one first partition per run
             if cut is None:
                 outcome = "tie"
             else:
                 first = key + cut
                 outcome = settled.get(first) or settle(first, (*seeds, js[0]))
-            counts[outcome] += len(js)
-            if outcome == "failed" and first_failing is None:
-                first_failing = seeding((*seeds, js[0]))
+            if outcome == "reached":
+                reached += len(js)
+            elif outcome == "failed":
+                failed += len(js)
+                if first_failing is None:
+                    first_failing = Seeding._of_sorted((*seeds, js[0]))
             elif outcome == "tie":
-                tied.extend([seeding((*seeds, j)) for j in js])
-
-    def visit(seeds: tuple[int, ...], key: tuple[int, ...]) -> None:
-        i = seeds[-1] if seeds else 0
-        row = rows[i]
-        left = k - len(seeds) - 1  # seeds to come after the next one
-        for j in range(i + 1, n - left + 1):  # room for the seeds to come
-            cut = row[j]
-            if cut is None:
-                prefix = (*seeds, j)
-                subtree = [seeding(prefix + r) for r in combinations(range(j + 1, n + 1), left)]
-                counts["tie"] += len(subtree)
-                tied.extend(subtree)
-            elif left == 1:  # the seed after j is the last: no recursion
-                last((*seeds, j), key + cut, j)
+                tie += len(js)
+                entries += [(j, 0) for j in js]
             else:
-                visit((*seeds, j), key + cut)
+                capped += len(js)
+        return reached, failed, tie, capped, entries or ()
 
-    if k == 1:
-        last((), (), 0)
-    else:
-        visit((), ())
-    del visit  # it refers to itself; drop the cycle so the memo is freed now
+    reached, failed, tie, capped, entries = tally((), (), 0, k - 1)
+    # tally refers to itself: drop the cycle, and the memos before the tied seedings are built
+    del tally, settle, states, memo, settled
+    tied: list[Seeding] = []
+    _expand_tied(entries, (), n, tied)
     return SeedingSurvey(
         total=comb(n, k),
-        reached_count=counts["reached"],
-        failed_count=counts["failed"],
-        tie_count=counts["tie"],
-        cap_count=counts["cap-exceeded"],
+        reached_count=reached,
+        failed_count=failed,
+        tie_count=tie,
+        cap_count=capped,
         first_failing=first_failing,
         tied=tuple(tied),
         empty_rule_used=empty_used,
     )
+
+
+def _expand_tied(entries: list, prefix: tuple[int, ...], n: int, out: list[Seeding]) -> None:
+    """Append the tied seedings that ``entries`` stand for below ``prefix``, in order.
+
+    An entry ``(j, m)`` is every seeding ``prefix`` + j + m later seeds;
+    ``(j, below)`` is ``below``'s entries under ``prefix`` + j.
+    """
+    seeding = Seeding._of_sorted  # sorted, distinct and 1-based by construction
+    for j, below in entries:
+        head = (*prefix, j)
+        if type(below) is not int:
+            _expand_tied(below, head, n, out)
+        elif below:
+            out += [seeding(head + r) for r in combinations(range(j + 1, n + 1), below)]
+        else:
+            out.append(seeding(head))
 
 
 def success_probability(cfg: DistanceConfig) -> Fraction:

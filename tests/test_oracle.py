@@ -1,13 +1,13 @@
 """The exhaustive oracle against the per-seeding loop it replaced.
 
-``survey_seedings`` walks the seedings by shared prefix over a table of
-step-0 midpoint cuts and runs one Lloyd step per distinct partition with no
-empty block, memoizing each partition's outcome and depth.  The reference
-below runs every seeding from its seeds, in the same lexicographic order.  On
-every config and cap the two must agree in every ``SeedingSurvey`` field,
-``first_failing``, ``tied`` and ``empty_rule_used`` included.  The step
-itself, a lookup in a table of block boundaries, is checked against plain
-``Fraction`` arithmetic.
+``survey_seedings`` tallies the seedings below each (last seed, step-0 cuts
+so far) state once, over a table of step-0 midpoint cuts, and runs one Lloyd
+step per distinct partition with no empty block, memoizing each partition's
+outcome and depth.  The reference below runs every seeding from its seeds,
+in the same lexicographic order.  On every config and cap the two must agree
+in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
+``empty_rule_used`` included.  The step itself, a lookup in a table of block
+boundaries, is checked against plain ``Fraction`` arithmetic.
 """
 
 import gc
@@ -198,6 +198,38 @@ def test_k8_small_entries_tie_at_the_first_and_the_last_seed():
     )
 
 
+def test_k8_small_entries_share_a_state_with_a_tie_below():
+    # the premise that takes the equality tests above through a shared state:
+    # two prefixes end at one last seed with one tuple of step-0 cuts, and a
+    # seeding below that state ties, so the state's tied seedings are listed
+    # under both prefixes
+    cfg = DistanceConfig(*K8_CONFIGS["entries-1..4"])
+    xs = embed(cfg).positions
+
+    def cut(i, j):  # points left of the midpoint of points i and j; None on a point
+        midpoint = (xs[i - 1] + xs[j - 1]) / 2
+        return None if midpoint in xs else sum(x < midpoint for x in xs)
+
+    first, second = (1, 2, 3, 4, 6, 7, 8), (1, 2, 3, 5, 6, 7, 8)
+    cuts = [tuple(cut(i, j) for i, j in zip(s, s[1:])) for s in (first, second)]
+    assert cuts[0] == cuts[1] == (1, 2, 3, 5, 6, 7)
+    assert [j for j in range(9, 2 * cfg.k + 1) if cut(8, j) is None] == [15]
+    tied = survey_seedings(cfg).tied
+    assert Seeding((*first, 15)) in tied and Seeding((*second, 15)) in tied
+
+
+# k=9, past the k=8 configs above: most of its seedings tie
+K9_CONFIG = ((4, 3, 3, 2, 2, 1, 3, 4, 1), (3, 1, 4, 2, 4, 4, 2, 2))
+
+
+def test_k9_config_matches_reference():
+    cfg = DistanceConfig(*K9_CONFIG)
+    survey = survey_seedings(cfg)
+    assert survey == reference_survey(cfg)  # every field, tied order included
+    assert (survey.total, survey.tie_count) == (48620, 35573)
+    _assert_seedings_valid(survey, cfg.k)
+
+
 def _assert_seedings_valid(survey, k):
     """The survey's seedings, built unchecked, are ones ``Seeding`` accepts."""
     built = [*survey.tied, *([survey.first_failing] if survey.first_failing else [])]
@@ -209,8 +241,9 @@ def _assert_seedings_valid(survey, k):
         assert all(i < j for i, j in zip(ix, ix[1:]))
 
 
+# the k=8 configs too: their tied seedings are expanded from shared states
 @pytest.mark.parametrize("cap", CAPS)
-@pytest.mark.parametrize("a, p", EMPTY_RULE_CONFIGS)
+@pytest.mark.parametrize("a, p", EMPTY_RULE_CONFIGS + list(K8_CONFIGS.values()))
 def test_surveyed_seedings_are_valid_on_empty_rule_configs(a, p, cap):
     cfg = DistanceConfig(a, p)
     _assert_seedings_valid(survey_seedings(cfg, cap), cfg.k)
