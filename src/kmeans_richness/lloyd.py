@@ -287,30 +287,36 @@ class LineEngine:
         """History-free strict run: (kind, final cuts or tie, empty rule used, steps)."""
         return _iterate(self._xs, self._prefix, seed_indices, cap)
 
-    def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | None:
+    def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | bool | None:
         """One Lloyd step from a partition with no empty block, given as cuts.
 
-        Returns the next partition's cuts, or None on a midpoint tie.  With no
-        empty block, the boundary between blocks j-1 and j moves to a place
-        fixed by their two means alone, so by the cuts (lo, mid, hi) around
-        it; ``_table`` maps each such triple to its ``_boundary`` result.
+        Returns the next partition's cuts, None on a midpoint tie, or False
+        when the next partition has an empty block and no tie: a cut not
+        above the one before it.  (Each midpoint lies strictly between the
+        first and the last point, so no cut is 0 or n.)  With no empty block,
+        the boundary between blocks j-1 and j moves to a place fixed by their
+        two means alone, so by the cuts (lo, mid, hi) around it; ``_table``
+        maps each such triple to its ``_boundary`` result.
         """
         xs, prefix, table = self._xs, self._prefix, self._table
         nxt = []
         bounds = (*cuts, len(xs))
-        lo = 0
+        lo = last = 0
         mid = bounds[0]
+        empty = False
         for hi in bounds[1:]:
             key = (lo, mid, hi)
             cut = table.get(key)
             if cut is None:
                 s1, s2 = prefix[mid] - prefix[lo], prefix[hi] - prefix[mid]
                 cut = table[key] = _boundary(xs, s1, mid - lo, s2, hi - mid)
-            if cut < 0:
-                return None
+            if cut <= last:  # a tie anywhere wins over an empty block
+                if cut < 0:
+                    return None
+                empty = True
             nxt.append(cut)
-            lo, mid = mid, hi
-        return tuple(nxt)
+            lo, mid, last = mid, hi, cut
+        return False if empty else tuple(nxt)
 
     def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
         if cap < 1:

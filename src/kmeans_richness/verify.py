@@ -84,8 +84,9 @@ def survey_seedings(
     and the tallies are added again wherever another prefix reaches the
     state.  The last seed adds no later cut, so the last seeds after one
     state are taken in runs of equal step-0 cut, one first partition per
-    run; a state with one seed to come is tallied wherever it is reached,
-    since its runs cost less than a memo entry.  A state is first reached
+    run.  A state with one seed to come costs less to tally than to
+    memoize, so the loop over the second-to-last seed j goes on over j's
+    runs in place; at k=1 there is no cut at all.  A state is first reached
     before any prefix that reaches it again, so ``first_failing``, and the
     seeds each first partition is run from, are those of a walk over every
     seeding.  Each state lists its tied seedings as entries that link to its
@@ -98,8 +99,9 @@ def survey_seedings(
     outcome ("reached", "failed" or "tie") and the depth, the number of
     steps to a fixed point or a tie.  A seeding is "cap-exceeded" iff its
     first partition's depth is at least ``cap``.  A chain that empties a
-    block goes on from a frozen centroid, so its seedings run from their
-    seeds instead, once per first partition; only those runs can set
+    block (``LineEngine.step`` returns False, unless the step also ties)
+    goes on from a frozen centroid, so its seedings run from their seeds
+    instead, once per first partition; only those runs can set
     ``empty_rule_used``.
     """
     if cap < 1:
@@ -132,24 +134,22 @@ def survey_seedings(
         nonlocal empty_used
         key = first
         chain = []  # stepped partitions, up to a memo hit, fixed point, tie or empty block
-        while key not in memo:
+        entry = memo.get(key)
+        while entry is None:
             chain.append(key)
             nxt = engine.step(key)
             if nxt is None:
                 entry = ("tie", 0)
+            elif nxt is False:  # a block is empty
+                entry = (None, 0)
             elif nxt == key:
                 entry = ("reached" if key == target else "failed", 0)
-            elif len({0, *nxt, n}) <= k:  # a block is empty
-                entry = (None, 0)
             else:
                 key = nxt
-                continue
-            break
-        else:
-            entry = memo[key]
+                entry = memo.get(key)
         for key in reversed(chain):
             entry = memo[key] = (entry[0], entry[1] + 1)
-        outcome, depth = memo[first]
+        outcome, depth = entry
         if outcome is None:
             outcome, final, empty_seen, _steps = engine.run_lean(indices, cap)
             if outcome == "converged":
@@ -165,54 +165,55 @@ def survey_seedings(
 
     def tally(seeds: tuple[int, ...], key: tuple[int, ...], i: int, left: int) -> tuple:
         """(reached, failed, tie, cap, tied entries) of ``seeds`` (last seed i,
-        step-0 cuts ``key``) extended by ``left`` + 1 seeds, all after i."""
+        step-0 cuts ``key``) extended by ``left`` + 1 seeds, all after i; left >= 1."""
         nonlocal first_failing
         reached = failed = tie = capped = 0
         entries: list = []
-        if left:
-            row = rows[i]
-            for j in range(i + 1, n - left + 1):  # room for the seeds to come
-                cut = row[j]
-                if cut is None:  # every seeding below ties
-                    tie += comb(n - j, left)
-                    entries.append((j, left))
-                    continue
-                sub = key + cut
-                if left == 1:  # one seed to come: its runs cost less than a memo entry
-                    state = tally((*seeds, j), sub, j, 0)
-                else:
-                    known = states[j]
-                    state = known.get(sub)
-                    if state is None:
-                        state = known[sub] = tally((*seeds, j), sub, j, left - 1)
+        row = rows[i]
+        for j in range(i + 1, n - left + 1):  # room for the seeds to come
+            cut = row[j]
+            if cut is None:  # every seeding below ties
+                tie += comb(n - j, left)
+                entries.append((j, left))
+                continue
+            sub = key + cut
+            if left == 1:  # the last seed after j: one first partition per run
+                below = []
+                for last, js in runs[j]:
+                    if last is None:
+                        outcome = "tie"
+                    else:
+                        first = sub + last
+                        outcome = settled.get(first) or settle(first, (*seeds, j, js[0]))
+                    if outcome == "reached":
+                        reached += len(js)
+                    elif outcome == "failed":
+                        failed += len(js)
+                        if first_failing is None:
+                            first_failing = Seeding._of_sorted((*seeds, j, js[0]))
+                    elif outcome == "tie":
+                        tie += len(js)
+                        below += [(m, 0) for m in js]
+                    else:
+                        capped += len(js)
+            else:
+                known = states[j]
+                state = known.get(sub)
+                if state is None:
+                    state = known[sub] = tally((*seeds, j), sub, j, left - 1)
                 r, f, t, c, below = state
                 reached += r
                 failed += f
                 tie += t
                 capped += c
-                if below:
-                    entries.append((j, below))
-            return reached, failed, tie, capped, entries or ()
-        for cut, js in runs[i]:  # the last seed: one first partition per run
-            if cut is None:
-                outcome = "tie"
-            else:
-                first = key + cut
-                outcome = settled.get(first) or settle(first, (*seeds, js[0]))
-            if outcome == "reached":
-                reached += len(js)
-            elif outcome == "failed":
-                failed += len(js)
-                if first_failing is None:
-                    first_failing = Seeding._of_sorted((*seeds, js[0]))
-            elif outcome == "tie":
-                tie += len(js)
-                entries += [(j, 0) for j in js]
-            else:
-                capped += len(js)
+            if below:
+                entries.append((j, below))
         return reached, failed, tie, capped, entries or ()
 
-    reached, failed, tie, capped, entries = tally((), (), 0, k - 1)
+    if k > 1:
+        reached, failed, tie, capped, entries = tally((), (), 0, k - 1)
+    else:  # no cut at all: the one partition is the target, repeated at the second step
+        reached, failed, tie, capped, entries = (n, 0, 0, 0, ()) if cap > 1 else (0, 0, 0, n, ())
     # tally refers to itself: drop the cycle, and the memos before the tied seedings are built
     del tally, settle, states, memo, settled
     tied: list[Seeding] = []

@@ -1,10 +1,11 @@
-"""Lloyd iteration: assignment, updates, traces, invariants."""
+"""Lloyd iteration: assignment, updates, the table step, traces, invariants."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import lloyd
 from kmeans_richness.lloyd import (
@@ -126,6 +127,33 @@ def random_cut_labels(rng, n, blocks):
     for j, (lo, hi) in enumerate(zip((0, *cuts), (*cuts, n))):
         labels += [j] * (hi - lo)
     return labels
+
+
+def reference_step(positions, cuts):
+    """One Lloyd step in plain Fractions: the block means, each adjacent
+    midpoint, and how many points lie strictly left of it; None on a tie
+    anywhere, else False when a block of the next partition is empty."""
+    bounds = (0, *cuts, len(positions))
+    means = [sum(positions[lo:hi], Fraction(0)) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    nxt = []
+    for left, right in zip(means, means[1:]):
+        midpoint = (left + right) / 2
+        if midpoint in positions:
+            return None
+        nxt.append(sum(1 for x in positions if x < midpoint))
+    bounds = (0, *nxt, len(positions))
+    if any(hi <= lo for lo, hi in zip(bounds, bounds[1:])):
+        return False
+    return tuple(nxt)
+
+
+@st.composite
+def step_configs(draw):
+    k = draw(st.integers(2, 6))
+    entries = st.integers(1, draw(st.sampled_from([4, 50])))  # 1..4: ties are common
+    a = draw(st.lists(entries, min_size=k, max_size=k))
+    p = draw(st.lists(entries, min_size=k - 1, max_size=k - 1))
+    return DistanceConfig(tuple(a), tuple(p))
 
 
 class TestCentroids:
@@ -267,6 +295,53 @@ class TestRun:
         assert all(b.converged for b in branches)
         sequences = {b.partition_sequence() for b in branches}
         assert len(sequences) == len(branches)
+
+
+class TestStep:
+    """``LineEngine.step``, the survey's table step, against plain Fractions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_configs(), st.randoms(use_true_random=False))
+    def test_table_step_matches_fraction_reference(self, cfg, rnd):
+        points = embed(cfg)
+        n = points.n
+        every = list(itertools.combinations(range(1, n), cfg.k - 1))  # no empty block
+        expected = {cuts: reference_step(points.positions, cuts) for cuts in every}
+        engine = lloyd.LineEngine(points)
+        shuffled = every[:]
+        rnd.shuffle(shuffled)
+        # the second pass reads a table the first one filled, in another order
+        for order in (every, shuffled):
+            assert {cuts: engine.step(cuts) for cuts in order} == expected
+
+    @pytest.mark.parametrize(
+        "a, p",
+        [
+            ((1, 1, 1, 1), (3, 1, 4)),
+            ((1, 1, 1, 1, 1), (4, 1, 4, 1)),
+            ((1, 2, 3, 2, 2, 2), (5, 10, 10, 9, 3)),  # its survey takes the empty-cluster rule
+            ((1, 1, 1, 1, 1, 1), (3, 1, 4, 1, 3)),
+        ],
+    )
+    def test_every_partition_matches_reference(self, a, p):
+        # every partition with no empty block: next ones with a tie, with an
+        # empty block and with neither all occur
+        points = embed(DistanceConfig(a, p))
+        engine = lloyd.LineEngine(points)
+        every = itertools.combinations(range(1, points.n), len(a) - 1)
+        steps = {cuts: engine.step(cuts) for cuts in every}
+        assert steps == {cuts: reference_step(points.positions, cuts) for cuts in steps}
+        assert {type(nxt) for nxt in steps.values()} == {tuple, bool, type(None)}
+
+    def test_tie_after_an_empty_block_wins(self):
+        # points 0, 1, 4, 5, 6, 7, 11, 12 in blocks {0} {1, 4} {5} {6, 7, 11, 12}:
+        # the means 0, 5/2, 5, 9 put the first two midpoints, 5/4 and 15/4,
+        # between points 1 and 4, which empties block 1, and the third, 7, on
+        # point 6
+        points = embed(DistanceConfig((1, 1, 1, 1), (3, 1, 4)))
+        assert points.positions == (0, 1, 4, 5, 6, 7, 11, 12)
+        assert reference_step(points.positions, (1, 3, 4)) is None
+        assert lloyd.LineEngine(points).step((1, 3, 4)) is None
 
 
 class TestIsFixedPoint:

@@ -7,12 +7,12 @@ outcome and depth.  The reference below runs every seeding from its seeds,
 in the same lexicographic order.  On every config and cap the two must agree
 in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
 ``empty_rule_used`` included.  The step itself, a lookup in a table of block
-boundaries, is checked against plain ``Fraction`` arithmetic.
+boundaries, is checked against plain ``Fraction`` arithmetic in
+``test_lloyd.py``.
 """
 
 import gc
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -123,6 +123,40 @@ def test_cap_below_one_rejected(cap):
     engine = LineEngine(embed(DistanceConfig((2, 2, 1, 1), (1, 1, 1))))
     with pytest.raises(ValueError, match="cap must be >= 1"):
         engine.run_lean((1, 3, 5, 7), cap)
+
+
+# k = 1, 2 and 3, where the survey's last two seeds are all of a seeding
+SMALL_K_CONFIGS = [
+    ((3,), ()),  # no cut at all: the one partition is the target
+    ((1, 1), (3,)),
+    ((1, 3), (1,)),  # ties at step 0, 1 and 2
+    ((1, 1, 1), (1, 1)),  # 14 of 20 seedings tie
+    ((3, 9, 2), (6, 8)),
+    ((1, 1, 3), (3, 3)),
+]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("a, p", SMALL_K_CONFIGS)
+def test_small_k_configs_match_reference(a, p, cap):
+    cfg = DistanceConfig(a, p)
+    assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+
+
+def test_tie_at_the_first_step_is_capped_at_cap_one():
+    # points 0, 1, 2, 5: seeds {2, 3} cut at 2, and the block means 1/2 and
+    # 7/2 put point 3 on their midpoint in the first step after the seeds;
+    # seeds {1, 3} tie at step 0 itself, which no cap hides
+    cfg = DistanceConfig((1, 3), (1,))
+    assert LineEngine(embed(cfg)).run_lean((2, 3)) == ("tie", (1, 3, (0, 1)), False, 2)
+    capped = survey_seedings(cfg, 1)
+    assert capped == reference_survey(cfg, 1)
+    assert (capped.tie_count, capped.cap_count) == (1, 5)
+    assert capped.tied == (Seeding((1, 3)),)
+    tied = survey_seedings(cfg, 2)
+    assert tied == reference_survey(cfg, 2)
+    assert (tied.tie_count, tied.cap_count) == (2, 1)
+    assert tied.tied == (Seeding((1, 3)), Seeding((2, 3)))
 
 
 @st.composite
@@ -319,44 +353,6 @@ def test_one_step_per_distinct_partition(a, p, monkeypatch):
     survey = survey_seedings(cfg)
     assert not survey.empty_rule_used  # no run leaves the memo for a run from the seeds
     assert len(steps) == len(set(steps)) == len(visited)
-
-
-def reference_step(positions, cuts):
-    """One Lloyd step in plain Fractions: the block means, each adjacent
-    midpoint, and how many points lie strictly left of it; None on a tie."""
-    bounds = (0, *cuts, len(positions))
-    means = [sum(positions[lo:hi], Fraction(0)) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-    nxt = []
-    for left, right in zip(means, means[1:]):
-        midpoint = (left + right) / 2
-        if midpoint in positions:
-            return None
-        nxt.append(sum(1 for x in positions if x < midpoint))
-    return tuple(nxt)
-
-
-@st.composite
-def step_configs(draw):
-    k = draw(st.integers(2, 6))
-    entries = st.integers(1, draw(st.sampled_from([4, 50])))  # 1..4: ties are common
-    a = draw(st.lists(entries, min_size=k, max_size=k))
-    p = draw(st.lists(entries, min_size=k - 1, max_size=k - 1))
-    return DistanceConfig(tuple(a), tuple(p))
-
-
-@settings(max_examples=100, deadline=None)
-@given(step_configs(), st.randoms(use_true_random=False))
-def test_table_step_matches_fraction_reference(cfg, rnd):
-    points = embed(cfg)
-    n = points.n
-    every = list(combinations(range(1, n), cfg.k - 1))  # the partitions with no empty block
-    expected = {cuts: reference_step(points.positions, cuts) for cuts in every}
-    engine = LineEngine(points)
-    shuffled = every[:]
-    rnd.shuffle(shuffled)
-    # the second pass reads a table the first one filled, in another order
-    for order in (every, shuffled):
-        assert {cuts: engine.step(cuts) for cuts in order} == expected
 
 
 def test_boundary_rejects_centroids_out_of_order():
