@@ -146,15 +146,14 @@ def test_small_k_configs_match_reference(a, p, cap):
 def test_tie_at_the_first_step_is_capped_at_cap_one():
     # points 0, 1, 2, 5: seeds {2, 3} cut at 2, and the block means 1/2 and
     # 7/2 put point 3 on their midpoint in the first step after the seeds;
-    # seeds {1, 3} tie at step 0 itself, which no cap hides
+    # seeds {1, 3} tie at step 0 itself, which no cap hides; SMALL_K_CONFIGS
+    # checks every field against the reference
     cfg = DistanceConfig((1, 3), (1,))
     assert LineEngine(embed(cfg)).run_lean((2, 3)) == ("tie", (1, 3, (0, 1)), False, 2)
     capped = survey_seedings(cfg, 1)
-    assert capped == reference_survey(cfg, 1)
     assert (capped.tie_count, capped.cap_count) == (1, 5)
     assert capped.tied == (Seeding((1, 3)),)
     tied = survey_seedings(cfg, 2)
-    assert tied == reference_survey(cfg, 2)
     assert (tied.tie_count, tied.cap_count) == (2, 1)
     assert tied.tied == (Seeding((1, 3)), Seeding((2, 3)))
 
