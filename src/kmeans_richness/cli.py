@@ -135,10 +135,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     model._require_valid(cfg)
     label = cases.classify(cfg)
-    try:
-        plan = cases.adversarial_plan(cfg)
-    except cases.UnclassifiedConfigError:
-        plan = None
+    plan = None if label.tag == cases.UNCLASSIFIED else cases._adversarial_plan(label, cfg.k)
     if args.format == "json":
         data = {
             "label": str(label),

@@ -402,8 +402,12 @@ def config_from_dict(data: dict) -> DistanceConfig:
         raise ConfigParseError(str(exc)) from None
     cfg = DistanceConfig(a, p)
     declared = data.get("k")
-    if declared is not None and not isinstance(declared, (int, str)):
+    try:  # not a bool, though it is an int
+        k = cfg.k if declared is None else int(declared) if type(declared) in (int, str) else None
+    except ValueError:
+        k = None
+    if k is None:
         raise ConfigParseError("'k' must be an integer")
-    if declared is not None and int(declared) != cfg.k:
+    if k != cfg.k:
         raise ConfigParseError(f"declared k={declared!r} but got {cfg.k} intra-pair distances")
     return cfg

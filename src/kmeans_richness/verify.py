@@ -69,9 +69,7 @@ class SeedingSurvey:
         return Fraction(self.reached_count, self.total - self.tie_count)
 
 
-def survey_seedings(
-    cfg: DistanceConfig, cap: int = DEFAULT_CAP, _engine: LineEngine | None = None
-) -> SeedingSurvey:
+def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurvey:
     """Tally where every seeding lands, in lexicographic order.
 
     Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
@@ -106,7 +104,7 @@ def survey_seedings(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    engine = _engine or LineEngine._of_config(cfg)
+    engine = LineEngine._of_config(cfg)
     k = cfg.k
     n = 2 * k
     target = tuple(range(2, n, 2))
@@ -258,7 +256,7 @@ def success_probability(cfg: DistanceConfig) -> Fraction:
 
 def richness_violation(cfg: DistanceConfig, epsilon: Fraction) -> bool:
     """True iff the pairing partition is reached with probability <= 1 - epsilon."""
-    epsilon = Fraction(epsilon)
+    epsilon = model._coerce_rational(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1")
     return success_probability(cfg) <= 1 - epsilon
@@ -372,11 +370,10 @@ def certify_config(
     return _with_runs(*_decide(cfg, oracle), include_traces)
 
 
-def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, LineEngine]:
+def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
     """``certify_config``'s verdict, from lean runs only: its certificate with
-    no runs, the plan's (name, seeding) pairs to run, and the engine."""
+    no runs, and the plan's (name, seeding) pairs to run."""
     _require_valid(cfg)
-    engine = LineEngine._of_config(cfg)
     plan: cases.AdversarialPlan | None = None
     if cfg.k >= 4:
         try:
@@ -385,11 +382,11 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, Line
             pass
         except cases.ClassificationTieError as exc:
             reason = f"classification tie: {exc.description}"
-            cert = Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None)
-            return cert, (), engine
+            return Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None), ()
     if plan is None:
-        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None, engine), (), engine
+        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None), ()
 
+    engine = LineEngine._of_config(cfg)
     target = tuple(range(2, 2 * cfg.k, 2))  # the pairing's cuts
     reached, reason = [], None
     for seeding in plan.candidates:
@@ -403,14 +400,15 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple, Line
         reached.append(detail == target)
     violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
     verdict = VERDICT_SKIPPED if reason else VERDICT_VIOLATED if violated else VERDICT_HOLDS
-    survey = survey_seedings(cfg, _engine=engine) if oracle and not reason else None
+    survey = survey_seedings(cfg) if oracle and not reason else None
     cert = Certificate(cfg, str(plan.label), plan.semantics.value, (), verdict, reason, survey)
-    return cert, tuple(zip(plan.names, plan.candidates)), engine
+    return cert, tuple(zip(plan.names, plan.candidates))
 
 
-def _with_runs(cert: Certificate, pairs: tuple, engine: LineEngine, traced: bool) -> Certificate:
+def _with_runs(cert: Certificate, pairs: tuple, traced: bool) -> Certificate:
     """``_decide``'s certificate with strict runs of its (name, seeding)
     pairs, and of the survey's first failing seeding if ``traced``."""
+    engine = LineEngine._of_config(cert.config)
     failing = cert.oracle.first_failing if cert.oracle is not None else None
     witness = engine.run_strict(failing) if traced and failing is not None else None
     records = tuple(CandidateRecord(name, engine.run_strict(s)) for name, s in pairs)
@@ -430,13 +428,12 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
             label = str(cases.classify(cfg))
         except cases.ClassificationTieError:
             pass
-    engine = LineEngine._of_config(cfg)
-    return _with_runs(_oracle_only(cfg, label, engine), (), engine, include_witness_trace)
+    return _with_runs(_oracle_only(cfg, label), (), include_witness_trace)
 
 
-def _oracle_only(cfg: DistanceConfig, label: str | None, engine: LineEngine) -> Certificate:
+def _oracle_only(cfg: DistanceConfig, label: str | None) -> Certificate:
     """The oracle-only certificate of a valid config, with no runs, from its survey alone."""
-    survey = survey_seedings(cfg, _engine=engine)
+    survey = survey_seedings(cfg)
     reason = None
     if survey.first_failing is not None:
         verdict = VERDICT_HOLDS
@@ -718,6 +715,25 @@ def _derived_rng(root_seed: int, region_index: int, slot: int, attempt: int) -> 
     return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:16], "big"))
 
 
+def _slot(
+    spec: RegionSpec, region_index: int, slot: int, rng_seed: int, oracle: bool, max_rejections: int
+) -> tuple[int, Certificate | None, str | None]:
+    """One campaign slot: (tied attempts, decided certificate or None, error
+    or None).  Only a violation is certified, with traces."""
+    for attempt in range(TIE_RETRIES):
+        rng = _derived_rng(rng_seed, region_index, slot, attempt)
+        try:
+            cfg = sample_config(spec, rng, max_rejections)
+        except RegionExhaustedError as exc:
+            return attempt, None, str(exc)
+        cert, pairs = _decide(cfg, oracle)
+        if cert.verdict == VERDICT_VIOLATED:
+            cert = _with_runs(cert, pairs, traced=True)
+        if cert.verdict != VERDICT_SKIPPED:
+            return attempt, cert, None
+    return TIE_RETRIES, None, f"tie retries exhausted at sample {slot}"
+
+
 def campaign(
     regions: Sequence[RegionSpec],
     samples_per_region: int,
@@ -728,56 +744,39 @@ def campaign(
 ) -> Report:
     """Sample and certify ``samples_per_region`` configs per region.
 
-    A skipped (tied) attempt is counted and the slot resampled from its own
-    derived stream, up to ``TIE_RETRIES`` attempts, so each region contributes
-    its full quota of decided certificates; an attempt is decided on lean runs,
-    and only a violation is certified, with traces.  Region exhaustion is
-    recorded without aborting the rest.
-    Deterministic for a fixed (regions, samples, seed): each (region, slot,
-    attempt) triple derives an independent RNG stream.
+    ``_slot`` decides each slot from its inputs alone, resampling a tied
+    attempt from its own derived stream up to ``TIE_RETRIES`` times.  The
+    slots are folded in order: tied attempts count as samples and as ties
+    skipped, and a slot with no certificate records its error and ends its
+    region without aborting the rest.  Deterministic for a fixed (regions,
+    samples, seed): each (region, slot, attempt) triple derives its own RNG.
     """
     if samples_per_region < 1:
         raise ValueError("samples_per_region must be >= 1")
     results = []
     for region_index, spec in enumerate(regions):
         result = RegionResult(spec, note="no theorem claim at k<4" if spec.k < 4 else None)
-        violations: list[Certificate] = []
         for slot in range(samples_per_region):
-            decided = False
-            for attempt in range(TIE_RETRIES):
-                rng = _derived_rng(rng_seed, region_index, slot, attempt)
-                try:
-                    cfg = sample_config(spec, rng, max_rejections)
-                except RegionExhaustedError as exc:
-                    result.error = str(exc)
-                    break
-                cert, pairs, engine = _decide(cfg, oracle)
-                result.samples += 1
-                if cert.verdict == VERDICT_SKIPPED:
-                    result.ties_skipped += 1
-                    continue
-                if cert.verdict == VERDICT_HOLDS:
-                    result.holds += 1
-                else:
-                    violations.append(_with_runs(cert, pairs, engine, traced=True))
-                if cert.oracle is not None:
-                    result.oracle_samples += 1
-                    if cert.oracle.first_failing is not None:
-                        result.oracle_failing_found += 1
-                    probability = cert.oracle.probability
-                    if probability is not None:
-                        if result.min_probability is None or probability < result.min_probability[0]:
-                            result.min_probability = (probability, cfg)
-                        if result.max_probability is None or probability > result.max_probability[0]:
-                            result.max_probability = (probability, cfg)
-                decided = True
+            tied, cert, error = _slot(spec, region_index, slot, rng_seed, oracle, max_rejections)
+            result.samples += tied
+            result.ties_skipped += tied
+            if cert is None:
+                result.error = error
                 break
-            if result.error is not None:
-                break
-            if not decided:
-                result.error = f"tie retries exhausted at sample {slot}"
-                break
-        result.violations = tuple(violations)
+            result.samples += 1
+            if cert.verdict == VERDICT_HOLDS:
+                result.holds += 1
+            else:
+                result.violations += (cert,)
+            if cert.oracle is not None:
+                result.oracle_samples += 1
+                if cert.oracle.first_failing is not None:
+                    result.oracle_failing_found += 1
+                if (probability := cert.oracle.probability) is not None:
+                    if result.min_probability is None or probability < result.min_probability[0]:
+                        result.min_probability = (probability, cert.config)
+                    if result.max_probability is None or probability > result.max_probability[0]:
+                        result.max_probability = (probability, cert.config)
         results.append(result)
     return Report(rng_seed, samples_per_region, oracle, tuple(results))
 

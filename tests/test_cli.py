@@ -518,6 +518,19 @@ class TestCertifyCommand:
         assert [path.name for path in tmp_path.iterdir()] == ["plain"]  # no certificate written
         assert (tmp_path / "plain").read_text() == ""
 
+    def test_check_rejects_a_boolean_k(self, capsys, tmp_path):
+        # true is an int in Python, but not a declared k; the k=1 certificate
+        # with "k": true would otherwise check out as k=1
+        cert_path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", '{"a": ["1"], "p": []}', "--output", str(cert_path))
+        data = json.loads(cert_path.read_text())
+        data["config"]["k"] = True
+        cert_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "certify", "--check", str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: 'k' must be an integer\n"
+
     def test_check_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", "--check", str(tmp_path))
         assert code == 2

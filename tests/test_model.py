@@ -299,6 +299,16 @@ class TestJsonFormat:
         with pytest.raises(ConfigParseError):
             config_from_dict({"k": 3, "a": ["1", "2"], "p": ["1"]})
 
+    @pytest.mark.parametrize("k", [True, "x", 1.0, [1]])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ConfigParseError, match="^'k' must be an integer$"):
+            config_from_dict({"k": k, "a": ["1"], "p": []})
+
+    def test_k_as_integer_text(self):
+        assert config_from_dict({"k": "2", "a": ["1", "2"], "p": ["1"]}).k == 2
+        with pytest.raises(ConfigParseError, match="declared k='3'"):
+            config_from_dict({"k": "3", "a": ["1", "2"], "p": ["1"]})
+
 
 class TestScaleConfig:
     def test_scale(self):
