@@ -171,6 +171,52 @@ def _label_k(a, p) -> CaseLabel:
     return _shared_label(UNCLASSIFIED)
 
 
+# Gap shapes of the region sampler, on the triple (a_j, p_j, a_{j+1}): "A"
+# ascending, "B" descending, "peak", "pit"; "CA"/"CB" a pit with 3*a_j
+# below/above 2*p_j + a_{j+1}, "CA~"/"CB~" the same split read from a_{j+1};
+# "valid" any p_j, ties included.  Every shape implies validity.
+_STRICT = ("A", "B", "pit", "peak")
+_END_SHAPES = {"AA": "A", "AB": "B", "ACA": "CA", "ACB": "CB"}
+_MIRRORED_END = {"A": "B", "B": "A", "CA": "CA~", "CB": "CB~"}  # read from a4, as (a4, p34, a3)
+_MIDDLE_SHAPES = {"ADA": "A", "ADB": "B", "ADCA": "CB", "ADCB": "CA", "ADD": "peak"}
+_EVERY_GAP = {"BD": ("pit",), "BE": ("peak",), UNCLASSIFIED: ("pit", "peak")}
+
+
+@cache
+def gap_shapes(k: int, target: CaseLabel | None) -> tuple[tuple[str, ...], ...]:
+    """Per gap, the shapes its triple may take in ``target``'s region at this k
+    (None: every valid config).  Exact for every k=4 region, BA, BB, BE, BC(m)
+    and BC(m)~: each config with these shapes gets the target's label.  For
+    BC, BC~, BD, UNCLASSIFIED and all-valid it is a superset that
+    ``label_of`` narrows down."""
+    valid = ("valid",)
+    if target is None:
+        return (_STRICT if k > 4 else valid,) * (k - 1)
+    tag, param = target.tag, target.param
+    if k == 4:
+        if tag in _END_SHAPES:
+            end = _END_SHAPES[tag]
+            if target.mirrored:
+                return ("peak",), valid, (_MIRRORED_END[end],)
+            return (end,), valid, valid
+        return ("peak",), (_MIDDLE_SHAPES[tag],), ("peak",)
+    if tag in ("BA", "BB"):
+        return (("A",) if tag == "BA" else ("B",),) + (_STRICT,) * (k - 2)
+    if tag in _EVERY_GAP:
+        return (_EVERY_GAP[tag],) * (k - 1)
+    neither = ("pit", "peak")  # gap 1 is neither ascending (BA) nor descending (BB)
+    not_up = ("B", "pit", "peak")
+    if not target.mirrored:  # BC(m): gap m is the first ascending one
+        if param is None:
+            return (neither,) + (_STRICT,) * (k - 2)
+        return (neither,) + (not_up,) * (param - 2) + (("A",),) + (_STRICT,) * (k - 1 - param)
+    # BC(m)~: no gap ascends, and gap k - m is the last descending one
+    if param is None:
+        return (neither,) + (not_up,) * (k - 2)
+    last = k - param
+    return (neither,) + (not_up,) * (last - 2) + (("B",),) + (neither,) * (k - 1 - last)
+
+
 def label_of(a, p) -> CaseLabel:
     """Case label of a valid config with k = len(a) >= 4, given as plain
     sequences: fractions, or integer numerators over one positive denominator

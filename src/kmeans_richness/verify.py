@@ -13,10 +13,13 @@ import hashlib
 import io
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, groupby
-from math import comb
+from functools import cache
+from itertools import accumulate, combinations, groupby
+from math import comb, prod
+from operator import mul
 from typing import Sequence
 
 from . import cases, lloyd, model
@@ -32,13 +35,16 @@ SEMANTICS_ORACLE = "oracle-only"
 
 DEFAULT_MAX_REJECTIONS = 10**6
 TIE_RETRIES = 50
-# Largest bound whose randint draw is one 32-bit Mersenne Twister word; the
-# sampler's reference tests cover bounds up to it.
+# Largest bound: entries stay within one 32-bit word, and the sampler's
+# tests cover bounds up to it.
 _MAX_BOUND = 2**32 - 1
+# Most value buckets a sampling table spans; up to this bound, one per value.
+G = 64
 
 
 class RegionExhaustedError(RuntimeError):
-    """Rejection sampling found nothing; the region is empty at this bound."""
+    """The sampler found nothing: the region is empty at this bound, or its
+    draws were rejected too often."""
 
 
 # --- exhaustive seeding enumeration -------------------------------------------
@@ -373,18 +379,17 @@ def certify_config(
 def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
     """``certify_config``'s verdict, from lean runs only: its certificate with
     no runs, and the plan's (name, seeding) pairs to run."""
-    _require_valid(cfg)
-    plan: cases.AdversarialPlan | None = None
-    if cfg.k >= 4:
-        try:
-            plan = cases.adversarial_plan(cfg)
-        except cases.UnclassifiedConfigError:
-            pass
-        except cases.ClassificationTieError as exc:
-            reason = f"classification tie: {exc.description}"
-            return Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None), ()
-    if plan is None:
-        return _oracle_only(cfg, cases.UNCLASSIFIED if cfg.k >= 4 else None), ()
+    if cfg.k < 4:
+        _require_valid(cfg)
+        return _oracle_only(cfg, None), ()
+    try:
+        label = cases.classify(cfg)  # validates too
+    except cases.ClassificationTieError as exc:
+        reason = f"classification tie: {exc.description}"
+        return Certificate(cfg, None, SEMANTICS_ORACLE, (), VERDICT_SKIPPED, reason, None), ()
+    if label.tag == cases.UNCLASSIFIED:
+        return _oracle_only(cfg, cases.UNCLASSIFIED), ()
+    plan = cases._adversarial_plan(label, cfg.k)
 
     engine = LineEngine._of_config(cfg)
     target = tuple(range(2, 2 * cfg.k, 2))  # the pairing's cuts
@@ -553,7 +558,7 @@ class RegionSpec:
         if self.bound < 2:
             raise ValueError("bound must be >= 2")
         if self.bound > _MAX_BOUND:
-            raise ValueError(f"bound must be <= {_MAX_BOUND} (one 32-bit word per draw)")
+            raise ValueError(f"bound must be <= {_MAX_BOUND} (entries stay within one 32-bit word)")
         if self.denominator < 1:
             raise ValueError("denominator must be >= 1")
         label = None
@@ -576,37 +581,142 @@ class RegionSpec:
         return f"k={self.k}:{self.target}"
 
 
+def _buckets(bound: int) -> tuple[tuple[int, int], ...]:
+    """The (first, last) value buckets a sampling table spans: one per value
+    up to ``G``, else ``G`` of near-equal size."""
+    if bound <= G:
+        return tuple((v, v) for v in range(1, bound + 1))
+    return tuple((i * bound // G + 1, (i + 1) * bound // G) for i in range(G))
+
+
+def _p_range(shape: str, x0: int, x1: int, y0: int, y1: int, bound: int) -> tuple[int, int]:
+    """(lo, hi) such that every p_j in 1..bound that gives the triple (a_j,
+    p_j, a_{j+1}) ``shape``, for some a_j in [x0, x1] and a_{j+1} in [y0, y1],
+    lies in [lo, hi]; for single values, exactly those p_j do.  Each end is
+    bounded term by term over the box."""
+    lo, hi = max(0, x0 - y1, y0 - x1) // 2 + 1, bound  # validity: 2p > |a_j - a_{j+1}|
+    if shape == "A":
+        lo, hi = max(lo, x0 + 1), min(hi, y1 - 1)
+    elif shape == "B":
+        lo, hi = max(lo, y0 + 1), min(hi, x1 - 1)
+    elif shape == "peak":
+        lo = max(lo, x0 + 1, y0 + 1)
+    elif shape != "valid":  # a pit, maybe split
+        hi = min(hi, x1 - 1, y1 - 1)
+        if shape == "CA":
+            lo = max(lo, (3 * x0 - y1) // 2 + 1)
+        elif shape == "CB":
+            hi = min(hi, (3 * x1 - y0 - 1) // 2)
+        elif shape == "CA~":
+            lo = max(lo, (3 * y0 - x1) // 2 + 1)
+        elif shape == "CB~":
+            hi = min(hi, (3 * y1 - x0 - 1) // 2)
+    return lo, hi
+
+
+def _p_count(shapes: tuple[str, ...], x0: int, x1: int, y0: int, y1: int, bound: int) -> int:
+    """The sum of ``_p_range``'s interval lengths over ``shapes``, which are disjoint."""
+    count = 0
+    for shape in shapes:
+        lo, hi = _p_range(shape, x0, x1, y0, y1, bound)
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
+
+
+def _nth_p(shapes: tuple[str, ...], x: int, y: int, bound: int, n: int) -> int:
+    """The ``n``-th (from 0) p_j that gives a_j = x, a_{j+1} = y one of ``shapes``."""
+    for shape in shapes:
+        lo, hi = _p_range(shape, x, x, y, y, bound)
+        if n <= hi - lo:
+            return lo + n
+        n -= max(0, hi - lo + 1)
+    raise AssertionError("fewer allowed p than counted")
+
+
+@cache
+def _gap_counts(shapes: tuple[str, ...], bound: int) -> tuple[tuple[int, ...], ...]:
+    """Per bucket of a_{j+1}, per bucket of a_j (``_buckets``): ``_p_count``
+    over the two; exact for single values, else an envelope, a count that
+    bounds that of every pair of values in them."""
+    buckets = _buckets(bound)
+    return tuple(tuple(_p_count(shapes, *xs, *ys, bound) for xs in buckets) for ys in buckets)
+
+
+@cache
+def _region_table(k: int, target: CaseLabel | None, bound: int) -> tuple:
+    """(per gap, its ``_gap_counts``; per j, the weight of a_1..a_j by the
+    bucket of a_j, that bucket's size included; the running sums of a_k's
+    weights, whose last is the table's total)."""
+    sizes = [last - first + 1 for first, last in _buckets(bound)]
+    gaps = [_gap_counts(shapes, bound) for shapes in cases.gap_shapes(k, target)]
+    forward = [sizes]
+    for columns in gaps:
+        weights = forward[-1]
+        forward.append([size * sum(map(mul, weights, col)) for size, col in zip(sizes, columns)])
+    return gaps, forward, list(accumulate(forward[-1]))
+
+
 def sample_config(
     spec: RegionSpec,
     rng: random.Random,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> DistanceConfig:
-    """Rejection-sample a valid, predicate-tie-free config in the region.
+    """A config drawn uniformly from the region's valid, predicate-tie-free
+    configs with numerators in 1..bound over the spec's denominator: the
+    distribution of drawing every numerator uniformly until a draw lands in
+    the region.
 
-    A draw is ``randint(1, bound)`` for each a, then each p.  Validity and the
-    label are tested on these numerators; only the accepted draw is divided.
+    Each gap's triple (a_j, p_j, a_{j+1}) must take one of the shapes
+    ``cases.gap_shapes`` gives the region.  For fixed a_j and a_{j+1}, each
+    shape leaves p_j one interval, so a table counts the allowed p_j per
+    pair of values, and weights summed along the chain a_1, ..., a_k count
+    the tuples through each value.  The a's are drawn from a_k back to a_1
+    in proportion to those counts, then each p_j uniformly from its allowed
+    values.  A table is built on first use and kept per (k, target, bound)
+    for the life of the process, so the first draw in a region pays for it.
+    Above ``G``, a table spans ``G`` buckets of values, and each pair of
+    buckets holds an envelope, a count that bounds that of every pair of
+    values in them: the buckets are drawn by those envelopes, the a's
+    uniformly within them, and the draw is kept with probability (product
+    of the exact counts) / (product of the envelopes), which keeps it
+    uniform.
 
-    Each numerator is read as ``randint`` reads it: ``getrandbits(m)``, with
-    m the bound's bit length, retried until below the bound, plus 1.  The
-    generator therefore ends where those ``randint`` calls leave it.
+    ``cases.label_of`` and the target's ``matches`` test every draw.  Where
+    the shapes pin the region down (every k=4 region, BA, BB, BE, BC(m) and
+    BC(m)~) no draw fails them; elsewhere they reject draws outside it.
+    After ``max_rejections`` rejected draws, by that test or the envelope
+    step, the next rejection raises ``RegionExhaustedError``; so does a
+    table that holds no config, before anything is read from ``rng``.
     """
     if type(rng) is not random.Random:
         raise TypeError(f"sample_config needs a random.Random, got {type(rng).__name__}")
-    k = spec.k
-    width = 2 * k - 1
-    bound = spec.bound
-    bits = bound.bit_length()
-    getrandbits = rng.getrandbits
-    target = spec._label
-    is_valid, label_of = model.is_valid, cases.label_of
-    for _ in range(max_rejections):
-        values = [v + 1 for _ in range(width) if (v := getrandbits(bits)) < bound]
-        while len(values) < width:
-            if (v := getrandbits(bits)) < bound:
-                values.append(v + 1)
-        a, p = values[:k], values[k:]
-        if not is_valid(a, p):
-            continue
+    k, bound, target = spec.k, spec.bound, spec._label
+    gaps, forward, last_sums = _region_table(k, target, bound)
+    if not last_sums[-1]:
+        raise RegionExhaustedError(f"region {spec.name} holds no config at bound {bound}; raise the bound")
+    shapes = cases.gap_shapes(k, target)
+    randrange, label_of = rng.randrange, cases.label_of
+    for _ in range(max_rejections + 1):
+        picked = [bisect_right(last_sums, randrange(last_sums[-1]))]
+        for j in range(k - 2, -1, -1):
+            row = list(accumulate(map(mul, forward[j], gaps[j][picked[-1]])))
+            picked.append(bisect_right(row, randrange(row[-1])))
+        picked.reverse()
+        counts = [table[y][x] for table, x, y in zip(gaps, picked, picked[1:])]
+        if bound <= G:
+            a = [bucket + 1 for bucket in picked]
+        else:  # keep the draw with probability (exact counts) / (envelopes)
+            buckets = _buckets(bound)
+            a = [first + randrange(last - first + 1) for first, last in map(buckets.__getitem__, picked)]
+            envelope = prod(counts)
+            counts = [_p_count(gap, x, x, y, y, bound) for gap, x, y in zip(shapes, a, a[1:])]
+            if randrange(envelope) >= prod(counts):
+                continue
+        p = [
+            _nth_p(gap, x, y, bound, randrange(count))
+            for gap, x, y, count in zip(shapes, a, a[1:], counts)
+        ]
         if k >= 4:
             try:
                 label = label_of(a, p)
@@ -617,7 +727,7 @@ def sample_config(
         den = spec.denominator
         return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
     raise RegionExhaustedError(
-        f"no config for region {spec.name} in {max_rejections} draws at bound {spec.bound};"
+        f"no config for region {spec.name} after {max_rejections} rejected draws at bound {bound};"
         " raise the bound"
     )
 

@@ -391,8 +391,8 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "k, samples, digest",
         [
-            ("4", "3", "540a66043bb9eb63bcdcb5fa1a3f4225d53bce56bfa8c561dd209ea0b638acd7"),
-            ("6", "2", "dc277aa5061726d4acfe2eefb1094b61857ff5ac9844ce022397db1be9b4b03f"),
+            ("4", "3", "d0938445a5dbe347f353fc3fdd881c4358c26a938d7d52472b0946c792eda4b3"),
+            ("6", "2", "ca4d1560c1f1c071e0ddbb174c6af2252c160735f169aabfe87d328014c64baf"),
         ],
     )
     def test_report_sha256(self, capsys, tmp_path, k, samples, digest):
@@ -406,10 +406,10 @@ class TestGoldenReports:
 
     def test_violation_report_sha256(self, capsys, tmp_path, monkeypatch):
         # prescribe the seeding {1,3,5,7}, which reaches the pairing: ADD violates
-        prescribed = cases.adversarial_plan
+        prescribed = cases._adversarial_plan
 
-        def pairing_plan(cfg):
-            plan = prescribed(cfg)
+        def pairing_plan(label, k):
+            plan = prescribed(label, k)
             return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
 
         surveys = []
@@ -419,7 +419,7 @@ class TestGoldenReports:
             surveys.append(cfg)
             return survey(cfg, *args, **kwargs)
 
-        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan)
+        monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan)
         monkeypatch.setattr(verify, "survey_seedings", counted_survey)
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
@@ -430,7 +430,7 @@ class TestGoldenReports:
         assert code == 1
         assert json.loads(out_path.read_text())["violation_count"] == 3
         assert len(surveys) == 3  # one survey per sample: a violation is certified once
-        digest = "dde5eb65da14a8f388488955dada1e365269bc9599372f57438e5308f5084afe"
+        digest = "ae16d61c9de0d3e546ebdeb4fc7f841f904c20b5cefd691a9234740c046cb854"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 

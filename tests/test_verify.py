@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -334,9 +335,9 @@ def pairing_plan(prescribed):
     """``prescribed`` with its candidates replaced by {1,3,5,7}, which reaches the
     pairing on ADD configs: the plan is violated."""
 
-    def plan(cfg):
+    def plan(label, k):
         return dataclasses.replace(
-            prescribed(cfg), candidates=(Seeding((1, 3, 5, 7)),), names=(None,)
+            prescribed(label, k), candidates=(Seeding((1, 3, 5, 7)),), names=(None,)
         )
 
     return plan
@@ -442,7 +443,7 @@ class TestDecision:
         assert cert.skip_reason == f"candidate {{2,4,5,7}} hit the iteration cap {verify.DEFAULT_CAP}"
 
     def test_violation_path(self, monkeypatch):
-        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan(cases.adversarial_plan))
+        monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan(cases._adversarial_plan))
         rng = random.Random(5)
         for _ in range(5):
             cfg = sample_config(RegionSpec(k=4, target="ADD", bound=12), rng)
@@ -693,6 +694,28 @@ class TestCampaign:
         assert any(cert and cert.verdict == VERDICT_VIOLATED for _tied, cert, _error in results)
         assert any(cert is None and error for _tied, cert, error in results)
 
+    def test_slot_results_survive_pickling(self):
+        # ``verify --jobs`` will hand slot results from worker processes back
+        specs = (
+            RegionSpec(k=4, target="ADD", bound=4),
+            RegionSpec(k=2, target="all-valid", bound=4),
+            RegionSpec(k=4, target="AA", bound=2),
+        )
+        results = [
+            verify._slot(spec, region_index, slot, 3, True, 2_000)
+            for region_index, spec in enumerate(specs)
+            for slot in range(8)
+        ]
+        assert any(tied for tied, _cert, _error in results)
+        assert any(cert and cert.verdict == VERDICT_VIOLATED for _tied, cert, _error in results)
+        assert any(cert is None and error for _tied, cert, error in results)
+        restored = pickle.loads(pickle.dumps(results))
+        assert restored == results
+        for (_, cert, _), (_, back, _) in zip(results, restored):
+            if cert is not None:
+                assert back.config._ints == cert.config._ints
+                assert back.to_json() == cert.to_json()
+
     def test_small_k_notes_no_theorem_claim(self):
         report = campaign((RegionSpec(k=2, target="all-valid", bound=6),), 2, rng_seed=3)
         assert report.regions[0].note == "no theorem claim at k<4"
@@ -715,14 +738,14 @@ class TestCampaign:
         assert result.holds == 3
 
     def test_violation_certificates_carry_traces(self, monkeypatch):
-        # k=2 regions violate by design (every seeding reaches the pairing)
-        report = campaign((RegionSpec(k=2, target="all-valid", bound=4),), 3, rng_seed=5)
+        # some k=2 configs violate by design (every seeding reaches the pairing)
+        report = campaign((RegionSpec(k=2, target="all-valid", bound=4),), 3, rng_seed=7)
         result = report.regions[0]
         assert len(result.violations) >= 1
         for cert in result.violations:
             assert cert.verdict == VERDICT_VIOLATED
 
-        monkeypatch.setattr(cases, "adversarial_plan", pairing_plan(cases.adversarial_plan))
+        monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan(cases._adversarial_plan))
         report = campaign((RegionSpec(k=4, target="ADD", bound=12),), 3, rng_seed=5)
         violations = report.regions[0].violations
         assert len(violations) == 3
