@@ -232,6 +232,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         regions = tuple(
             verify.RegionSpec(k=args.k, target=target, bound=args.bound) for target in targets
         )
+        labels = [spec._label for spec in regions]  # None only for "all-valid"
+        for i, spec in enumerate(regions):
+            if spec._label in labels[:i]:
+                raise CliError(f"region {spec.target} is given more than once")
     if args.samples < 1:
         raise CliError("--samples must be >= 1")
     for path in (out_path, csv_path):
@@ -287,7 +291,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"certificate written to {out_path}")
     else:
         print(text)
-    return EXIT_OK if cert.verdict == verify.VERDICT_HOLDS else EXIT_VIOLATION
+    return EXIT_VIOLATION if cert.verdict == verify.VERDICT_VIOLATED else EXIT_OK
 
 
 @cache

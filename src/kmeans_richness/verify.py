@@ -13,11 +13,11 @@ import hashlib
 import io
 import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations
 from math import comb, prod
 from operator import mul
 from typing import Sequence
@@ -76,12 +76,22 @@ class SeedingSurvey:
 
 
 def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurvey:
-    """Tally where every seeding lands, in lexicographic order.
+    """Outcome counts over all C(2k, k) seedings under ``cap``, with the first
+    failing seeding and the tied ones in lexicographic order (see ``_survey``)."""
+    return _survey(cfg, cap)[0]
+
+
+def _survey(
+    cfg: DistanceConfig, cap: int, probes: Sequence[Seeding] = ()
+) -> tuple[SeedingSurvey, list[str]] | None:
+    """``survey_seedings``, and each probe seeding's outcome ("reached",
+    "failed", "tie" or "cap-exceeded"; k > 1); None, with no walk, if a probe
+    ties at step 0.
 
     Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
     number of points left of each block boundary).  A seeding's first
-    partition is the tuple of step-0 cuts between adjacent seeds, one
-    ``lloyd._boundary`` per pair, and a point on a midpoint ties every
+    partition is the tuple of step-0 cuts between adjacent seeds, read
+    from ``_step0_table``, and a point on a midpoint ties every
     seeding through that pair.  The seedings that extend a prefix depend on
     it only through its last seed and its cuts so far, so the seedings below
     each such state are tallied once, depth first in lexicographic order,
@@ -106,7 +116,8 @@ def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurve
     block (``LineEngine.step`` returns False, unless the step also ties)
     goes on from a frozen centroid, so its seedings run from their seeds
     instead, once per first partition; only those runs can set
-    ``empty_rule_used``.
+    ``empty_rule_used``.  Every first partition without a step-0 tie is
+    settled on the walk, so a probe's outcome is its first partition's.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -114,18 +125,10 @@ def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurve
     k = cfg.k
     n = 2 * k
     target = tuple(range(2, n, 2))
-    # rows[i][j], seeds i < j: the step-0 cut between them as a one-entry
-    # tuple, None on a midpoint tie; row 0 is "no seed yet" and adds no cut
-    xs = engine._xs
-    rows = [[()] * (n + 1)]
-    for i, x in enumerate(xs, 1):
-        cuts = (lloyd._boundary(xs, x, 1, y, 1) for y in xs[i:])
-        rows.append([None] * (i + 1) + [None if cut < 0 else (cut,) for cut in cuts])
-    # per row, the last seeds j in order, grouped into runs of equal step-0 cut
-    runs = [
-        [(cut, list(js)) for cut, js in groupby(range(i + 1, n + 1), row.__getitem__)]
-        for i, row in enumerate(rows)
-    ]
+    rows, runs = _step0_table(engine._xs)
+    cells = [[rows[i][j] for i, j in zip(s.indices, s.indices[1:])] for s in probes]
+    if any(None in c for c in cells):
+        return None
     # cuts -> (outcome, depth); outcome None: the chain empties a block
     memo: dict[tuple[int, ...], tuple[str | None, int]] = {}
     # first partition's cuts -> the outcome of its seedings under cap
@@ -218,11 +221,12 @@ def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurve
         reached, failed, tie, capped, entries = tally((), (), 0, k - 1)
     else:  # no cut at all: the one partition is the target, repeated at the second step
         reached, failed, tie, capped, entries = (n, 0, 0, 0, ()) if cap > 1 else (0, 0, 0, n, ())
+    outcomes = [settled[sum(c, ())] for c in cells]
     # tally refers to itself: drop the cycle, and the memos before the tied seedings are built
     del tally, settle, states, memo, settled
     tied: list[Seeding] = []
     _expand_tied(entries, (), n, tied)
-    return SeedingSurvey(
+    survey = SeedingSurvey(
         total=comb(n, k),
         reached_count=reached,
         failed_count=failed,
@@ -232,6 +236,32 @@ def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurve
         tied=tuple(tied),
         empty_rule_used=empty_used,
     )
+    return survey, outcomes
+
+
+def _step0_table(xs: Sequence[int]) -> tuple[list[list], list[list]]:
+    """(rows, runs) of sorted points ``xs``.  rows[i][j], seeds i < j (1-based):
+    the step-0 cut between them as a one-entry tuple, None when a point lies
+    on their midpoint; row 0 adds no cut.  runs[i]: (cell, js) for the seeds
+    j after i, in runs of equal cell.  Point m lies left of the midpoint iff
+    2 x_m < x_i + x_j, so a bisection of the doubled positions gives a cut."""
+    n = len(xs)
+    twice = [2 * x for x in xs]
+    rows, runs = [[()] * (n + 1)], [[]]
+    for i, x in enumerate(xs, 1):
+        row, row_runs = [None] * (i + 1), []
+        cut = i  # the seeds up to i lie left of every midpoint after i; cuts only grow
+        for j in range(i + 1, n + 1):
+            mid = x + xs[j - 1]
+            cut = bisect_left(twice, mid, cut, j)
+            cell = None if twice[cut] == mid else (cut,)
+            if not row_runs or row_runs[-1][0] != cell:
+                row_runs.append((cell, []))
+            row_runs[-1][1].append(j)
+            row.append(cell)
+        rows.append(row)
+        runs.append(row_runs)
+    return rows, runs
 
 
 def _expand_tied(entries: list, prefix: tuple[int, ...], n: int, out: list[Seeding]) -> None:
@@ -377,8 +407,11 @@ def certify_config(
 
 
 def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
-    """``certify_config``'s verdict, from lean runs only: its certificate with
-    no runs, and the plan's (name, seeding) pairs to run."""
+    """``certify_config``'s verdict with no traces: its certificate with no
+    runs, and the plan's (name, seeding) pairs to run.  With ``oracle`` the
+    survey comes first and settles the candidates; a lean run is made for the
+    first that ties or hits the cap, for its skip reason, and for each one
+    up to it when one ties at step 0, which stops the survey before its walk."""
     if cfg.k < 4:
         _require_valid(cfg)
         return _oracle_only(cfg, None), ()
@@ -391,10 +424,16 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
         return _oracle_only(cfg, cases.UNCLASSIFIED), ()
     plan = cases._adversarial_plan(label, cfg.k)
 
-    engine = LineEngine._of_config(cfg)
+    surveyed = _survey(cfg, DEFAULT_CAP, plan.candidates) if oracle else None
+    survey, outcomes = surveyed or (None, [None] * len(plan.candidates))
+    engine = None
     target = tuple(range(2, 2 * cfg.k, 2))  # the pairing's cuts
     reached, reason = [], None
-    for seeding in plan.candidates:
+    for seeding, outcome in zip(plan.candidates, outcomes):
+        if outcome in ("reached", "failed"):
+            reached.append(outcome == "reached")
+            continue
+        engine = engine or LineEngine._of_config(cfg)
         kind, detail, _empty, _steps = engine.run_lean(seeding.indices)
         if kind != "converged":
             reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
@@ -405,7 +444,7 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
         reached.append(detail == target)
     violated = any(reached) if plan.semantics is PlanSemantics.ALL_MUST_FAIL else all(reached)
     verdict = VERDICT_SKIPPED if reason else VERDICT_VIOLATED if violated else VERDICT_HOLDS
-    survey = survey_seedings(cfg) if oracle and not reason else None
+    survey = None if reason else survey
     cert = Certificate(cfg, str(plan.label), plan.semantics.value, (), verdict, reason, survey)
     return cert, tuple(zip(plan.names, plan.candidates))
 

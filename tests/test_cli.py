@@ -317,6 +317,27 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == ["plain"]  # no report written
 
+    @pytest.mark.parametrize(
+        "k, regions, named",
+        [("4", "AA,AA", "AA"), ("4", "AA,ADD, AA", "AA"), ("5", "BC(2),BC(02)", "BC(02)"),
+         ("3", "all-valid,all-valid", "all-valid")],
+        ids=["twice", "apart", "same_param", "all_valid"],
+    )
+    def test_repeated_region_rejected(self, capsys, tmp_path, monkeypatch, k, regions, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran with a repeated region")
+
+        monkeypatch.setattr(verify, "campaign", refuse)
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--k", k, "--regions", regions, "--samples", "1", "--output", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: region {named} is given more than once\n"
+        assert not out_path.exists()
+
     def test_samples_below_one_makes_no_directory(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
@@ -413,14 +434,14 @@ class TestGoldenReports:
             return dataclasses.replace(plan, candidates=(Seeding((1, 3, 5, 7)),), names=(None,))
 
         surveys = []
-        survey = verify.survey_seedings
+        survey = verify._survey
 
         def counted_survey(cfg, *args, **kwargs):
             surveys.append(cfg)
             return survey(cfg, *args, **kwargs)
 
         monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan)
-        monkeypatch.setattr(verify, "survey_seedings", counted_survey)
+        monkeypatch.setattr(verify, "_survey", counted_survey)
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
             capsys,
@@ -446,6 +467,29 @@ class TestCertifyCommand:
         assert data["verdict"] == "plan-holds"
         assert data["candidates"][0]["trace"]["steps"]
 
+        code, out, _ = run_cli(capsys, "certify", "--check", str(cert_path))
+        assert code == 0
+        assert "checks out" in out
+
+    @pytest.mark.parametrize(
+        "text, verdict, reason, exit_code",
+        [
+            ("a=2,2,1,1; p=1,1,1", "skipped-tie", "tie during candidate {1,3,5,7}", 0),
+            ("a=1,1,1,1; p=1,1,1", "skipped-tie", "classification tie", 0),
+            ("a=1,1; p=10", "plan-violated", None, 1),  # k=2: every seeding reaches the pairing
+        ],
+        ids=["candidate_tie", "classification_tie", "violated"],
+    )
+    def test_exit_code_is_one_only_for_a_violation(
+        self, capsys, tmp_path, text, verdict, reason, exit_code
+    ):
+        cert_path = tmp_path / "cert.json"
+        code, out, _ = run_cli(capsys, "certify", text, "--output", str(cert_path))
+        assert code == exit_code
+        assert out == f"certificate written to {cert_path}\n"
+        data = json.loads(cert_path.read_text())
+        assert data["verdict"] == verdict
+        assert (data["skip_reason"] or "").startswith(reason or "")
         code, out, _ = run_cli(capsys, "certify", "--check", str(cert_path))
         assert code == 0
         assert "checks out" in out

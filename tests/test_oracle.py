@@ -13,7 +13,7 @@ boundaries, is checked against plain ``Fraction`` arithmetic in
 
 import gc
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 
 import pytest
@@ -26,6 +26,8 @@ from kmeans_richness.verify import (
     RegionSpec,
     SeedingSurvey,
     _derived_rng,
+    _step0_table,
+    _survey,
     default_regions,
     sample_config,
     survey_seedings,
@@ -352,6 +354,55 @@ def test_one_step_per_distinct_partition(a, p, monkeypatch):
     survey = survey_seedings(cfg)
     assert not survey.empty_rule_used  # no run leaves the memo for a run from the seeds
     assert len(steps) == len(set(steps)) == len(visited)
+
+
+def _table_configs(k, seed):
+    """Valid configs with entries 1..50, and tie-heavy ones: a = (1,)*k, p in 1..3."""
+    rng = random.Random(seed)
+    ps = [tuple(rng.randint(1, 3) for _ in range(k - 1)) for _ in range(8)]
+    return [*_valid_configs(k, 8, seed), *(DistanceConfig((1,) * k, p) for p in ps)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_step0_table_matches_boundary(k):
+    # the survey's one-sweep table against one ``lloyd._boundary`` per seed pair
+    n = 2 * k
+    tied = 0
+    for cfg in _table_configs(k, seed=k):
+        xs = LineEngine._of_config(cfg)._xs
+        rows, runs = _step0_table(xs)
+        assert rows[0] == [()] * (n + 1)
+        for i in range(1, n + 1):
+            cuts = [lloyd._boundary(xs, xs[i - 1], 1, xs[j - 1], 1) for j in range(i + 1, n + 1)]
+            assert rows[i] == [None] * (i + 1) + [None if cut < 0 else (cut,) for cut in cuts]
+            tied += sum(cut < 0 for cut in cuts)
+            cells = groupby(range(i + 1, n + 1), rows[i].__getitem__)
+            assert runs[i] == [(cell, list(js)) for cell, js in cells]
+    assert tied or k == 1
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("k", range(2, 6))
+def test_probe_outcomes_match_runs_from_the_seeds(k, cap):
+    # every seeding with no step-0 tie as a probe; one that ties at step 0 stops the walk
+    for cfg in _table_configs(k, seed=10 + k)[::3]:
+        engine = LineEngine(embed(cfg))
+        target = tuple(range(2, 2 * k, 2))
+        probes, expected, step0_tie = [], [], None
+        for indices in combinations(range(1, 2 * k + 1), k):
+            kind, detail, _empty, _steps = engine.run_lean(indices, cap)
+            if kind == "tie" and detail[0] == 0:
+                step0_tie = step0_tie or Seeding(indices)
+                continue
+            if kind == "converged":
+                kind = "reached" if detail == target else "failed"
+            probes.append(Seeding(indices))
+            expected.append(kind)
+        survey, outcomes = _survey(cfg, cap, probes)
+        assert survey == survey_seedings(cfg, cap)
+        assert outcomes == expected
+        if step0_tie is not None:
+            assert _survey(cfg, cap, [*probes, step0_tie]) is None
 
 
 def test_boundary_rejects_centroids_out_of_order():

@@ -383,6 +383,15 @@ def decision_configs():
     return out
 
 
+NAMED_PATHS = [
+    ("a=2,2,1,1; p=1,1,1", VERDICT_SKIPPED, "tie during candidate {1,3,5,7}"),
+    ("a=2,2,3,1; p=2,2,2", VERDICT_SKIPPED, "classification tie"),
+    ("a=3,3,1,1,1; p=1,4,2,2", VERDICT_HOLDS, None),  # UNCLASSIFIED
+    ("a=1,1; p=10", VERDICT_VIOLATED, None),  # k=2
+    ("a=1,3,3,1; p=2,2,2", VERDICT_HOLDS, None),  # AA
+]
+
+
 class TestDecision:
     """The campaign's decision step (lean runs, no traces) against
     ``certify_config`` and against a verdict read off strict traces."""
@@ -411,36 +420,89 @@ class TestDecision:
         assert any(reason.startswith("tie during candi") for *_, reason in seen)
 
     @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-oracle"])
-    @pytest.mark.parametrize(
-        "text, verdict, reason",
-        [
-            ("a=2,2,1,1; p=1,1,1", VERDICT_SKIPPED, "tie during candidate {1,3,5,7}"),
-            ("a=2,2,3,1; p=2,2,2", VERDICT_SKIPPED, "classification tie"),
-            ("a=3,3,1,1,1; p=1,4,2,2", VERDICT_HOLDS, None),  # UNCLASSIFIED
-            ("a=1,1; p=10", VERDICT_VIOLATED, None),  # k=2
-            ("a=1,3,3,1; p=2,2,2", VERDICT_HOLDS, None),  # AA
-        ],
-    )
+    @pytest.mark.parametrize("text, verdict, reason", NAMED_PATHS)
     def test_named_paths(self, text, verdict, reason, oracle):
         cert = self.check(parse_config(text), oracle)
         assert cert.verdict == verdict
         assert (cert.skip_reason or "").startswith(reason or "")
 
+    def test_oracle_leaves_the_decision_alone(self, monkeypatch):
+        # with the oracle on, the survey settles the candidates; a candidate
+        # tied at step 0 stops it before the walk, a later tie discards it
+        survey, probed = verify._survey, []
+
+        def recorded(cfg, cap, probes=()):
+            result = survey(cfg, cap, probes)
+            if probes:
+                probed.append(result)
+            return result
+
+        monkeypatch.setattr(verify, "_survey", recorded)
+        configs = decision_configs() + [parse_config(text) for text, *_ in NAMED_PATHS]
+        tied_surveys = set()
+        for cfg in configs:
+            probed.clear()
+            on, on_pairs = verify._decide(cfg, True)
+            off, off_pairs = verify._decide(cfg, False)
+            assert (on.verdict, on.skip_reason) == (off.verdict, off.skip_reason)
+            assert on_pairs == off_pairs
+            if on.skip_reason and on.skip_reason.startswith("tie during"):
+                assert on.oracle is None
+                tied_surveys.add(probed[0] is None)
+        assert tied_surveys == {True, False}  # both kinds of candidate tie were met
+
+    def test_holding_samples_make_only_the_surveys_steps(self, monkeypatch):
+        # no candidate runs: the plan's outcomes come from the survey
+        calls = []
+        step, lean = LineEngine.step, LineEngine.run_lean
+
+        def counted_step(self, cuts):
+            calls.append(("step", cuts))
+            return step(self, cuts)
+
+        def counted_lean(self, *args):
+            calls.append(("lean", args))
+            return lean(self, *args)
+
+        monkeypatch.setattr(LineEngine, "step", counted_step)
+        monkeypatch.setattr(LineEngine, "run_lean", counted_lean)
+        cert, _pairs = verify._decide(parse_config("a=1,3,3,1; p=2,2,2"), True)
+        assert cert.verdict == VERDICT_HOLDS
+        assert calls and {kind for kind, _ in calls} == {"step"}
+        held = 0
+        for cfg in decision_configs():
+            calls.clear()
+            cert, _pairs = verify._decide(cfg, True)
+            if cert.verdict != VERDICT_HOLDS or cert.semantics == verify.SEMANTICS_ORACLE:
+                continue
+            decided = list(calls)
+            calls.clear()
+            survey_seedings(cfg)
+            assert decided == calls  # the survey's steps, and its own runs from the seeds
+            held += 1
+        assert held > 10
+
     def test_tied_candidate_runs_once(self, monkeypatch):
-        # the skip reason comes from the lean run that found the tie, not a rerun
-        iterate, calls = lloyd._iterate, []
+        # the skip reason comes from the lean run that found the tie, not a rerun;
+        # the candidate ties at step 0, so the survey stops before any Lloyd step
+        iterate, calls, step, steps = lloyd._iterate, [], LineEngine.step, []
         monkeypatch.setattr(lloyd, "_iterate", lambda *args: calls.append(args) or iterate(*args))
+        monkeypatch.setattr(LineEngine, "step", lambda self, c: steps.append(c) or step(self, c))
         cert, _pairs = verify._decide(parse_config("a=2,2,1,1; p=1,1,1"), True)
         assert cert.skip_reason.startswith("tie during candidate {1,3,5,7}")
         assert len(calls) == 1
+        assert steps == []
 
     def test_cap_path(self, monkeypatch):
-        lean, strict = LineEngine.run_lean, LineEngine.run_strict
+        lean, strict, survey = LineEngine.run_lean, LineEngine.run_strict, verify._survey
         monkeypatch.setattr(LineEngine, "run_lean", lambda self, seeds, cap=1: lean(self, seeds, 1))
         monkeypatch.setattr(LineEngine, "run_strict", lambda self, s, cap=1: strict(self, s, 1))
-        cert = self.check(parse_config("a=1,3,3,1; p=2,2,2"))
-        assert cert.verdict == VERDICT_SKIPPED
-        assert cert.skip_reason == f"candidate {{2,4,5,7}} hit the iteration cap {verify.DEFAULT_CAP}"
+        monkeypatch.setattr(verify, "_survey", lambda cfg, cap, probes=(): survey(cfg, 1, probes))
+        for oracle in (True, False):
+            cert = self.check(parse_config("a=1,3,3,1; p=2,2,2"), oracle)
+            assert cert.verdict == VERDICT_SKIPPED
+            reason = f"candidate {{2,4,5,7}} hit the iteration cap {verify.DEFAULT_CAP}"
+            assert cert.skip_reason == reason
 
     def test_violation_path(self, monkeypatch):
         monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan(cases._adversarial_plan))
