@@ -235,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         labels = [spec._label for spec in regions]  # None only for "all-valid"
         for i, spec in enumerate(regions):
             if spec._label in labels[:i]:
-                raise CliError(f"region {spec.target} is given more than once")
+                raise CliError(f"region {targets[i]} is given more than once")
     if args.samples < 1:
         raise CliError("--samples must be >= 1")
     for path in (out_path, csv_path):

@@ -287,6 +287,12 @@ class LineEngine:
         """History-free strict run: (kind, final cuts or tie, empty rule used, steps)."""
         return _iterate(self._xs, self._prefix, seed_indices, cap)
 
+    def _cut(self, lo: int, mid: int, hi: int) -> int:
+        """Fill ``_table``'s entry for blocks (lo, mid] and (mid, hi] (``step`` fills it inline)."""
+        s1, s2 = self._prefix[mid] - self._prefix[lo], self._prefix[hi] - self._prefix[mid]
+        cut = self._table[lo, mid, hi] = _boundary(self._xs, s1, mid - lo, s2, hi - mid)
+        return cut
+
     def step(self, cuts: tuple[int, ...]) -> tuple[int, ...] | bool | None:
         """One Lloyd step from a partition with no empty block, given as cuts.
 

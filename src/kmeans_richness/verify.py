@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -90,19 +90,26 @@ def _survey(
 
     Clusters on the line stay contiguous, so a partition is its k-1 cuts (the
     number of points left of each block boundary).  A seeding's first
-    partition is the tuple of step-0 cuts between adjacent seeds, read
-    from ``_step0_table``, and a point on a midpoint ties every
-    seeding through that pair.  The seedings that extend a prefix depend on
-    it only through its last seed and its cuts so far, so the seedings below
-    each such state are tallied once, depth first in lexicographic order,
-    and the tallies are added again wherever another prefix reaches the
-    state.  The last seed adds no later cut, so the last seeds after one
-    state are taken in runs of equal step-0 cut, one first partition per
+    partition P is the tuple of step-0 cuts between adjacent seeds, read from
+    ``_step0_table``, and a point on a midpoint ties every seeding through
+    that pair.  The outcome depends on P only through Q, the partition its
+    first step makes (ties included), whether P == Q (which matters only when
+    cap <= 2), and P's means on the blocks empty in Q (frozen centroids).
+    Q's cut after P's block (a, b] and before (b, c] is one
+    ``LineEngine._table`` entry.  So the seedings that extend a prefix depend
+    on it only through its state: its last seed, its last two cuts, the cuts
+    of Q it fixes, and a tag, None unless cap <= 2 (then whether Q == P so
+    far) or Q has an empty block (then that block's P cuts).  The seedings
+    below each state are tallied once, depth first in lexicographic order,
+    and added again wherever another prefix reaches the state; a prefix
+    whose Q ties ties them all, unless cap is 1, where they are
+    cap-exceeded.  The last seed adds no later cut, so the last seeds after
+    one state are taken in runs of equal step-0 cut, one first partition per
     run.  A state with one seed to come costs less to tally than to
     memoize, so the loop over the second-to-last seed j goes on over j's
     runs in place; at k=1 there is no cut at all.  A state is first reached
-    before any prefix that reaches it again, so ``first_failing``, and the
-    seeds each first partition is run from, are those of a walk over every
+    by its lexicographically smallest prefix, so ``first_failing``, the
+    tied order and ``empty_rule_used`` are those of a walk over every
     seeding.  Each state lists its tied seedings as entries that link to its
     tied subtrees and its children's entries; they are built once, at the
     end, in order.  Their indices are sorted, distinct and 1-based by
@@ -116,8 +123,8 @@ def _survey(
     block (``LineEngine.step`` returns False, unless the step also ties)
     goes on from a frozen centroid, so its seedings run from their seeds
     instead, once per first partition; only those runs can set
-    ``empty_rule_used``.  Every first partition without a step-0 tie is
-    settled on the walk, so a probe's outcome is its first partition's.
+    ``empty_rule_used``.  A probe's outcome is its first partition's, settled
+    after the walk if the walk did not reach it.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -167,24 +174,29 @@ def _survey(
         settled[first] = outcome
         return outcome
 
-    # per last seed, the step-0 cuts so far -> the tallies below that state
+    # per last seed, the state's key -> the tallies below that state
     states: list[dict] = [{} for _ in range(n + 1)]
+    table, cut_of = engine._table, engine._cut
 
-    def tally(seeds: tuple[int, ...], key: tuple[int, ...], i: int, left: int) -> tuple:
+    def tally(seeds: tuple[int, ...], cuts: tuple[int, ...], qs: tuple, tag, i: int, left: int):
         """(reached, failed, tie, cap, tied entries) of ``seeds`` (last seed i,
-        step-0 cuts ``key``) extended by ``left`` + 1 seeds, all after i; left >= 1."""
+        step-0 cuts ``cuts``, Q's cuts ``qs``, ``tag``) extended by ``left`` +
+        1 seeds, all after i; left >= 1."""
         nonlocal first_failing
         reached = failed = tie = capped = 0
         entries: list = []
         row = rows[i]
+        if left > 1 and cuts:  # (a, b]: the last block; the next seed fixes Q's cut after it
+            a, b = cuts[-2] if len(cuts) > 1 else 0, cuts[-1]
+            last_q = qs[-1] if qs else 0
         for j in range(i + 1, n - left + 1):  # room for the seeds to come
-            cut = row[j]
-            if cut is None:  # every seeding below ties
+            cell = row[j]
+            if cell is None:  # every seeding below ties
                 tie += comb(n - j, left)
                 entries.append((j, left))
                 continue
-            sub = key + cut
             if left == 1:  # the last seed after j: one first partition per run
+                sub = cuts + cell
                 below = []
                 for last, js in runs[j]:
                     if last is None:
@@ -204,10 +216,26 @@ def _survey(
                     else:
                         capped += len(js)
             else:
+                key, sub_qs, sub_tag = cell, qs, tag
+                if cuts:
+                    cut = cell[0]
+                    q = table.get((a, b, cut))
+                    if q is None:
+                        q = cut_of(a, b, cut)
+                    if q < 0 and cap > 1:  # every seeding below ties at the first step
+                        tie += comb(n - j, left)
+                        entries.append((j, left))
+                        continue
+                    if cap <= 2:  # whether Q == P so far
+                        sub_tag = tag and q == b
+                    elif q <= last_q:  # Q's block (a, b] is empty: P's mean there is frozen
+                        sub_tag = (tag, a, b)
+                    sub_qs = qs + (q,)
+                    key = (b, cut, sub_qs, sub_tag)
                 known = states[j]
-                state = known.get(sub)
+                state = known.get(key)
                 if state is None:
-                    state = known[sub] = tally((*seeds, j), sub, j, left - 1)
+                    state = known[key] = tally((*seeds, j), cuts + cell, sub_qs, sub_tag, j, left - 1)
                 r, f, t, c, below = state
                 reached += r
                 failed += f
@@ -218,10 +246,11 @@ def _survey(
         return reached, failed, tie, capped, entries or ()
 
     if k > 1:
-        reached, failed, tie, capped, entries = tally((), (), 0, k - 1)
+        reached, failed, tie, capped, entries = tally((), (), (), cap <= 2 or None, 0, k - 1)
     else:  # no cut at all: the one partition is the target, repeated at the second step
         reached, failed, tie, capped, entries = (n, 0, 0, 0, ()) if cap > 1 else (0, 0, 0, n, ())
-    outcomes = [settled[sum(c, ())] for c in cells]
+    firsts = [sum(c, ()) for c in cells]
+    outcomes = [settled.get(f) or settle(f, s.indices) for f, s in zip(firsts, probes)]
     # tally refers to itself: drop the cycle, and the memos before the tied seedings are built
     del tally, settle, states, memo, settled
     tied: list[Seeding] = []
@@ -241,23 +270,27 @@ def _survey(
 
 def _step0_table(xs: Sequence[int]) -> tuple[list[list], list[list]]:
     """(rows, runs) of sorted points ``xs``.  rows[i][j], seeds i < j (1-based):
-    the step-0 cut between them as a one-entry tuple, None when a point lies
-    on their midpoint; row 0 adds no cut.  runs[i]: (cell, js) for the seeds
-    j after i, in runs of equal cell.  Point m lies left of the midpoint iff
-    2 x_m < x_i + x_j, so a bisection of the doubled positions gives a cut."""
+    the step-0 cut between them as a one-entry tuple (one shared tuple per
+    cut), None when a point lies on their midpoint; row 0 adds no cut.
+    runs[i]: (cell, js) for the seeds j after i, in runs of equal cell.
+    Point m lies left of the midpoint iff 2 x_m < x_i + x_j, and the cut only
+    grows with j, so one pointer sweeps each row."""
     n = len(xs)
     twice = [2 * x for x in xs]
+    cells = [(cut,) for cut in range(n)]
     rows, runs = [[()] * (n + 1)], [[]]
     for i, x in enumerate(xs, 1):
-        row, row_runs = [None] * (i + 1), []
-        cut = i  # the seeds up to i lie left of every midpoint after i; cuts only grow
-        for j in range(i + 1, n + 1):
-            mid = x + xs[j - 1]
-            cut = bisect_left(twice, mid, cut, j)
-            cell = None if twice[cut] == mid else (cut,)
-            if not row_runs or row_runs[-1][0] != cell:
-                row_runs.append((cell, []))
-            row_runs[-1][1].append(j)
+        row, row_runs, prev = [None] * (i + 1), [], 0  # prev 0: no run yet
+        cut = i  # the seeds up to i lie left of every midpoint after i
+        for j, y in enumerate(xs[i:], i + 1):
+            mid = x + y
+            while twice[cut] < mid:  # stops at j - 1 at the latest: 2 y > mid
+                cut += 1
+            cell = None if twice[cut] == mid else cells[cut]
+            if cell is not prev:
+                prev, js = cell, []
+                row_runs.append((cell, js))
+            js.append(j)
             row.append(cell)
         rows.append(row)
         runs.append(row_runs)
@@ -614,6 +647,7 @@ class RegionSpec:
                 allowed = f"{params[0]}..{params[-1]}" if params else "none"
                 raise ValueError(f"no k={self.k} region {self.target}; params of {region}: {allowed}")
         object.__setattr__(self, "_label", label)
+        object.__setattr__(self, "target", str(label) if label else self.target)  # BC(02) is BC(2)
 
     @property
     def name(self) -> str:

@@ -254,6 +254,22 @@ class TestVerifyCommand:
         assert [r["target"] for r in data["regions"]] == ["BD", "BE"]
         assert data["violation_count"] == 0
 
+    def test_region_names_are_canonical(self, capsys, tmp_path):
+        # BC(02) samples BC(2), and its report is BC(2)'s, byte for byte
+        reports = []
+        for target in ("BC(02)", " BC(2)"):
+            out_path = tmp_path / f"{len(reports)}.json"
+            code, _, _ = run_cli(
+                capsys,
+                "verify", "--k", "5", "--regions", target, "--samples", "1",
+                "--output", str(out_path),
+            )
+            assert code == 0
+            reports.append(out_path.read_bytes())
+        assert reports[0] == reports[1]
+        (region,) = json.loads(reports[0])["regions"]
+        assert (region["target"], region["region"]) == ("BC(2)", "k=5:BC(2)")
+
     def test_small_k_labeled_out_of_theorem(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         run_cli(

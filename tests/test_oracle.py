@@ -1,11 +1,12 @@
 """The exhaustive oracle against the per-seeding loop it replaced.
 
-``survey_seedings`` tallies the seedings below each (last seed, step-0 cuts
-so far) state once, over a table of step-0 midpoint cuts, and runs one Lloyd
-step per distinct partition with no empty block, memoizing each partition's
-outcome and depth.  The reference below runs every seeding from its seeds,
-in the same lexicographic order.  On every config and cap the two must agree
-in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
+``survey_seedings`` tallies the seedings below each state once (last seed,
+last two step-0 cuts, the cuts of the first Lloyd step's partition fixed so
+far, and a tag), over a table of step-0 midpoint cuts, and runs at most one
+Lloyd step per distinct partition with no empty block, memoizing each
+partition's outcome and depth.  The reference below runs every seeding from
+its seeds, in the same lexicographic order.  On every config and cap the two
+must agree in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
 ``empty_rule_used`` included.  The step itself, a lookup in a table of block
 boundaries, is checked against plain ``Fraction`` arithmetic in
 ``test_lloyd.py``.
@@ -21,7 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 from kmeans_richness import lloyd
 from kmeans_richness.lloyd import DEFAULT_CAP, EngineInvariantError, LineEngine
-from kmeans_richness.model import DistanceConfig, Partition, Seeding, embed, target_partition
+from kmeans_richness.model import (
+    DistanceConfig,
+    Partition,
+    Seeding,
+    embed,
+    mirror,
+    target_partition,
+)
 from kmeans_richness.verify import (
     RegionSpec,
     SeedingSurvey,
@@ -182,6 +190,21 @@ def test_wide_entries_match_reference(cfg, cap):
     assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
 
 
+def _ones_configs(k, count, seed):
+    """Tie-heavy configs: a = (1,)*k, every gap p in 1..3 (valid at any p)."""
+    rng = random.Random(seed)
+    ps = [tuple(rng.randint(1, 3) for _ in range(k - 1)) for _ in range(count)]
+    return [DistanceConfig((1,) * k, p) for p in ps]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_tie_heavy_configs_match_reference(k, cap):
+    # many prefixes share a state here, and cap 2 reads the "Q == P so far" tag
+    for cfg in _ones_configs(k, 6, seed=20 + k):
+        assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+
+
 def _valid_configs(k, count, seed):
     rng = random.Random(seed)
     while count:
@@ -251,6 +274,18 @@ def test_k8_small_entries_share_a_state_with_a_tie_below():
     assert [j for j in range(9, 2 * cfg.k + 1) if cut(8, j) is None] == [15]
     tied = survey_seedings(cfg).tied
     assert Seeding((*first, 15)) in tied and Seeding((*second, 15)) in tied
+
+
+# k=10, where the per-seeding reference is too slow: the mirrored walk meets
+# its states in another order, so the counts of the two must still agree
+@pytest.mark.parametrize("cap", [2, 3, DEFAULT_CAP])
+@pytest.mark.parametrize(
+    "cfg", [*_ones_configs(10, 1, seed=10), *_valid_configs(10, 1, seed=10)], ids=["ones", "wide"]
+)
+def test_k10_survey_matches_its_mirror(cfg, cap):
+    survey, mirrored = survey_seedings(cfg, cap), survey_seedings(mirror(cfg), cap)
+    fields = ("reached_count", "failed_count", "tie_count", "cap_count", "empty_rule_used")
+    assert [getattr(survey, f) for f in fields] == [getattr(mirrored, f) for f in fields]
 
 
 # k=9, past the k=8 configs above: most of its seedings tie
@@ -338,11 +373,12 @@ def test_caps_around_the_longest_run_match_reference(a, p):
 def test_one_step_per_distinct_partition(a, p, monkeypatch):
     cfg = DistanceConfig(a, p)
     points = embed(cfg)
-    visited = set()
+    visited = set()  # as cuts: the points in blocks before each block
     for indices in combinations(range(1, 2 * cfg.k + 1), cfg.k):
         for step in lloyd.run(points, Seeding(indices)).steps:
             if step.partition is not None and step.partition.block_count() == cfg.k:
-                visited.add(step.partition)
+                labels = step.partition.labels
+                visited.add(tuple(sum(b < j for b in labels) for j in range(1, cfg.k)))
     steps = []
     step = LineEngine.step
 
@@ -353,14 +389,14 @@ def test_one_step_per_distinct_partition(a, p, monkeypatch):
     monkeypatch.setattr(LineEngine, "step", counted)
     survey = survey_seedings(cfg)
     assert not survey.empty_rule_used  # no run leaves the memo for a run from the seeds
-    assert len(steps) == len(set(steps)) == len(visited)
+    # merged states step fewer partitions than the runs visit, and none twice
+    assert len(steps) == len(set(steps)) <= len(visited)
+    assert set(steps) <= visited
 
 
 def _table_configs(k, seed):
     """Valid configs with entries 1..50, and tie-heavy ones: a = (1,)*k, p in 1..3."""
-    rng = random.Random(seed)
-    ps = [tuple(rng.randint(1, 3) for _ in range(k - 1)) for _ in range(8)]
-    return [*_valid_configs(k, 8, seed), *(DistanceConfig((1,) * k, p) for p in ps)]
+    return [*_valid_configs(k, 8, seed), *_ones_configs(k, 8, seed)]
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -469,7 +469,7 @@ class TestDecision:
         cert, _pairs = verify._decide(parse_config("a=1,3,3,1; p=2,2,2"), True)
         assert cert.verdict == VERDICT_HOLDS
         assert calls and {kind for kind, _ in calls} == {"step"}
-        held = 0
+        held = merged = 0
         for cfg in decision_configs():
             calls.clear()
             cert, _pairs = verify._decide(cfg, True)
@@ -478,9 +478,22 @@ class TestDecision:
             decided = list(calls)
             calls.clear()
             survey_seedings(cfg)
-            assert decided == calls  # the survey's steps, and its own runs from the seeds
+            # the survey's steps, then the chains of the candidates the walk merged away
+            assert decided[: len(calls)] == calls
+            assert {kind for kind, _ in decided} == {"step"}
+            engine = LineEngine._of_config(cfg)
+            xs = engine._xs
+            firsts = {  # the candidates' first partitions
+                tuple(lloyd._boundaries(xs, [(xs[i - 1], 1) for i in s.indices]))
+                for s in cases.adversarial_plan(cfg).candidates
+            }
+            prev = None
+            for _kind, cuts in decided[len(calls) :]:
+                assert cuts in firsts or cuts == step(engine, prev)  # a chain starts at a candidate
+                prev = cuts
             held += 1
-        assert held > 10
+            merged += len(decided) > len(calls)
+        assert held > 10 and merged
 
     def test_tied_candidate_runs_once(self, monkeypatch):
         # the skip reason comes from the lean run that found the tie, not a rerun;
