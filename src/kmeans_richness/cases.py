@@ -91,15 +91,15 @@ class AdversarialPlan:
             raise ValueError("plan needs at least one candidate")
 
 
-def _shape(left, gap, right, ties: tuple[str, str, str]) -> str | None:
+def _shape(left, gap, right, ties: tuple[str, str, str]) -> str:
     """"A" ascending, "B" descending, "CA"/"CB" a pit with 3*left below/above
-    2*gap+right, None a peak; ``ties`` describes each comparison, in order."""
+    2*gap+right, "peak"; ``ties`` describes each comparison, in order."""
     if left == gap:
         raise ClassificationTieError(ties[0])
     if gap == right:
         raise ClassificationTieError(ties[1])
     if left < gap:
-        return "A" if gap < right else None
+        return "A" if gap < right else "peak"
     if gap > right:
         return "B"
     split = 3 * left - (2 * gap + right)
@@ -111,8 +111,13 @@ def _shape(left, gap, right, ties: tuple[str, str, str]) -> str | None:
 _LEFT_END = ("a1 = p12", "p12 = a2", "a1 = (2*p12+a2)/3")
 _RIGHT_END = ("a4 = p34", "p34 = a3", "a4 = (2*p34+a3)/3")
 _MIDDLE = ("a2 = p23", "p23 = a3", "a2 = (2*p23+a3)/3")
-# The ADC split names its sides the other way round from the ends' AC split.
-_MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CA": "ADCB", "CB": "ADCA", None: "ADD"}
+# A gap's shape from its triple (a_j, p_j, a_{j+1}), read as (a_j < p_j, p_j > a_{j+1}).
+_GAP_SHAPES = {(True, False): "A", (False, True): "B", (False, False): "pit", (True, True): "peak"}
+# k=4 tags by an end's shape, or the middle's, and the regions they list, each
+# end tag with its mirror.  The ADC split names its sides the other way round.
+_END_TAGS = {"A": "AA", "B": "AB", "CA": "ACA", "CB": "ACB"}
+_MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CB": "ADCA", "CA": "ADCB", "peak": "ADD"}
+_TARGETS4 = (*(tag + m for tag in _END_TAGS.values() for m in ("", "~")), *_MIDDLE_TAGS.values())
 # One shared label per (tag, mirrored, param).
 _shared_label = cache(CaseLabel)
 
@@ -125,20 +130,20 @@ def _label4(a, p) -> CaseLabel:
     a1, a2, a3, a4 = a
     p12, p23, p34 = p
     shape = _shape(a1, p12, a2, _LEFT_END)
-    if shape is not None:
-        return _shared_label("A" + shape)
+    if shape != "peak":
+        return _shared_label(_END_TAGS[shape])
     shape = _shape(a4, p34, a3, _RIGHT_END)
-    if shape is not None:
-        return _shared_label("A" + shape, mirrored=True)
+    if shape != "peak":
+        return _shared_label(_END_TAGS[shape], mirrored=True)
     return _shared_label(_MIDDLE_TAGS[_shape(a2, p23, a3, _MIDDLE)])
 
 
 def _label_k(a, p) -> CaseLabel:
-    """k>4.  Precedence: BA/BB on the first gap; the smallest ascending gap
-    (BC(m)); the smallest ascending gap of the mirrored configuration (BC(m)
-    mirrored); all-pits (BD(i), i the unique longest intra-pair distance);
-    all-peaks (BE); otherwise UNCLASSIFIED (mixed pits and peaks with no
-    monotone gap, which the case analysis does not cover)."""
+    """k>4, a fold over the gaps' shapes: BA/BB on the first gap; the first
+    ascending gap (BC(m)); the last descending one, the mirror's first
+    ascending gap (BC(m)~); all pits (BD(i), i the unique longest intra-pair
+    distance); all peaks (BE); else UNCLASSIFIED (mixed pits and peaks with
+    no monotone gap, which the case analysis does not cover)."""
     k = len(a)
     gaps = range(k - 1)
     for m in gaps:
@@ -147,59 +152,76 @@ def _label_k(a, p) -> CaseLabel:
     for m in gaps:
         if p[m] == a[m + 1]:
             raise ClassificationTieError(f"p{m + 1},{m + 2} = a{m + 2}")
-    above_left = [a[m] < p[m] for m in gaps]
-    above_right = [p[m] > a[m + 1] for m in gaps]
-    ascending = [m for m in gaps if above_left[m] and not above_right[m]]
-    descending = [m for m in gaps if above_right[m] and not above_left[m]]
-    if 0 in ascending:
-        return _shared_label("BA")
-    if 0 in descending:
-        return _shared_label("BB")
-    if ascending:
-        return _shared_label("BC", param=ascending[0] + 1)
-    if descending:
-        # gap g of the original is gap k-g of the mirror; the smallest
-        # ascending mirror gap comes from the largest descending one here
-        return _shared_label("BC", mirrored=True, param=k - (max(descending) + 1))
-    if not any(above_left) and not any(above_right):
+    shapes = [_GAP_SHAPES[a[m] < p[m], p[m] > a[m + 1]] for m in gaps]
+    if shapes[0] in ("A", "B"):  # BA: the first gap ascends, BB: it descends
+        return _shared_label("B" + shapes[0])
+    if "A" in shapes:
+        return _shared_label("BC", param=shapes.index("A") + 1)
+    if "B" in shapes:  # gap g of the original is gap k-g of the mirror
+        return _shared_label("BC", mirrored=True, param=shapes[::-1].index("B") + 1)
+    if shapes.count("pit") == k - 1:
         longest = max(a)
         if a.count(longest) > 1:
             raise ClassificationTieError("longest intra-pair distance is tied")
         return _shared_label("BD", param=a.index(longest) + 1)
-    if all(above_left) and all(above_right):
+    if shapes.count("peak") == k - 1:
         return _shared_label("BE")
     return _shared_label(UNCLASSIFIED)
 
 
-# Gap shapes of the region sampler, on the triple (a_j, p_j, a_{j+1}): "A"
-# ascending, "B" descending, "peak", "pit"; "CA"/"CB" a pit with 3*a_j
-# below/above 2*p_j + a_{j+1}, "CA~"/"CB~" the same split read from a_{j+1};
-# "valid" any p_j, ties included.  Every shape implies validity.
-_STRICT = ("A", "B", "pit", "peak")
-_END_SHAPES = {"AA": "A", "AB": "B", "ACA": "CA", "ACB": "CB"}
+def label_of(a, p) -> CaseLabel:
+    """Case label of a valid config with k = len(a) >= 4, given as plain
+    sequences: fractions, or integer numerators over one positive denominator
+    (every region predicate is homogeneous).  The caller checks validity.
+    The label is a fold over the gaps' shapes, the vocabulary of ``gap_shapes``."""
+    return _label4(a, p) if len(a) == 4 else _label_k(a, p)
+
+
+def _region_targets(k: int) -> tuple[str, ...]:
+    """Every label the classifier returns at this k, without params (plus
+    mirrored end variants); "all-valid" below k=4."""
+    if k == 4:
+        return _TARGETS4
+    return ("BA", "BB", "BC", "BC~", "BD", "BE", UNCLASSIFIED) if k > 4 else ("all-valid",)
+
+
+def _region_params(k: int, label: CaseLabel) -> range:
+    """The params ``label_of`` gives ``label``'s (tag, mirrored) at this k:
+    the first ascending gap for BC (gap 1 would be BA), counted on the
+    mirror for BC~ (its gap k-1 is gap 1 of the original, which would be
+    BB), and the index of the longest intra-pair distance for BD."""
+    if k > 4 and label.tag == "BC":
+        return range(1, k - 1) if label.mirrored else range(2, k)
+    if k > 4 and label.tag == "BD":
+        return range(1, k + 1)
+    return range(0)
+
+
+# The sampler's gap shapes: ``_shape``'s, "pit", "CA~"/"CB~" (the AC split read
+# from a_{j+1}) and "valid" (any p_j, ties included).  Each implies validity.
+_STRICT = tuple(_GAP_SHAPES.values())
 _MIRRORED_END = {"A": "B", "B": "A", "CA": "CA~", "CB": "CB~"}  # read from a4, as (a4, p34, a3)
-_MIDDLE_SHAPES = {"ADA": "A", "ADB": "B", "ADCA": "CB", "ADCB": "CA", "ADD": "peak"}
 _EVERY_GAP = {"BD": ("pit",), "BE": ("peak",), UNCLASSIFIED: ("pit", "peak")}
 
 
 @cache
 def gap_shapes(k: int, target: CaseLabel | None) -> tuple[tuple[str, ...], ...]:
     """Per gap, the shapes its triple may take in ``target``'s region at this k
-    (None: every valid config).  Exact for every k=4 region, BA, BB, BE, BC(m)
-    and BC(m)~: each config with these shapes gets the target's label.  For
-    BC, BC~, BD, UNCLASSIFIED and all-valid it is a superset that
-    ``label_of`` narrows down."""
+    (None: every valid config), in ``label_of``'s terms.  Exact for every k=4
+    region, BA, BB, BE, BC(m) and BC(m)~: each config with these shapes gets
+    the target's label.  For BC, BC~, BD, UNCLASSIFIED and all-valid it is a
+    superset that ``label_of`` narrows down."""
     valid = ("valid",)
     if target is None:
         return (_STRICT if k > 4 else valid,) * (k - 1)
     tag, param = target.tag, target.param
     if k == 4:
-        if tag in _END_SHAPES:
-            end = _END_SHAPES[tag]
-            if target.mirrored:
-                return ("peak",), valid, (_MIRRORED_END[end],)
-            return (end,), valid, valid
-        return ("peak",), (_MIDDLE_SHAPES[tag],), ("peak",)
+        end = {t: shape for shape, t in _END_TAGS.items()}.get(tag)
+        if end is None:  # both ends are peaks
+            return ("peak",), ({t: s for s, t in _MIDDLE_TAGS.items()}[tag],), ("peak",)
+        if target.mirrored:
+            return ("peak",), valid, (_MIRRORED_END[end],)
+        return (end,), valid, valid
     if tag in ("BA", "BB"):
         return (("A",) if tag == "BA" else ("B",),) + (_STRICT,) * (k - 2)
     if tag in _EVERY_GAP:
@@ -217,11 +239,29 @@ def gap_shapes(k: int, target: CaseLabel | None) -> tuple[tuple[str, ...], ...]:
     return (neither,) + (not_up,) * (last - 2) + (("B",),) + (neither,) * (k - 1 - last)
 
 
-def label_of(a, p) -> CaseLabel:
-    """Case label of a valid config with k = len(a) >= 4, given as plain
-    sequences: fractions, or integer numerators over one positive denominator
-    (every region predicate is homogeneous).  The caller checks validity."""
-    return _label4(a, p) if len(a) == 4 else _label_k(a, p)
+def _p_range(shape: str, x0: int, x1: int, y0: int, y1: int, bound: int) -> tuple[int, int]:
+    """(lo, hi) such that every p_j in 1..bound that gives the triple (a_j,
+    p_j, a_{j+1}) ``shape``, for some a_j in [x0, x1] and a_{j+1} in [y0, y1],
+    lies in [lo, hi]; for single values, exactly those p_j do.  Each end is
+    bounded term by term over the box."""
+    lo, hi = max(0, x0 - y1, y0 - x1) // 2 + 1, bound  # validity: 2p > |a_j - a_{j+1}|
+    if shape == "A":
+        lo, hi = max(lo, x0 + 1), min(hi, y1 - 1)
+    elif shape == "B":
+        lo, hi = max(lo, y0 + 1), min(hi, x1 - 1)
+    elif shape == "peak":
+        lo = max(lo, x0 + 1, y0 + 1)
+    elif shape != "valid":  # a pit, maybe split
+        hi = min(hi, x1 - 1, y1 - 1)
+        if shape == "CA":
+            lo = max(lo, (3 * x0 - y1) // 2 + 1)
+        elif shape == "CB":
+            hi = min(hi, (3 * x1 - y0 - 1) // 2)
+        elif shape == "CA~":
+            lo = max(lo, (3 * y0 - x1) // 2 + 1)
+        elif shape == "CB~":
+            hi = min(hi, (3 * y1 - x0 - 1) // 2)
+    return lo, hi
 
 
 _SEEDS4 = {

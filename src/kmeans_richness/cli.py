@@ -270,6 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     if args.check:
+        if args.config is not None or args.output is not None:
+            raise CliError("certify --check PATH takes no config and no --output")
         data = _parse_json(Path(args.check).read_text(), "certificate")
         problems = verify.recheck_certificate(data)
         if problems:

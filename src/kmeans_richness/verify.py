@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from . import cases, lloyd, model
-from .cases import CaseLabel, PlanSemantics
+from .cases import CaseLabel, PlanSemantics, _p_range
 from .lloyd import DEFAULT_CAP, LineEngine, LloydTrace
 from .model import DistanceConfig, Seeding, _require_valid
 
@@ -638,16 +638,16 @@ class RegionSpec:
             label = CaseLabel.parse(self.target)  # fail fast on bad label syntax
             if self.k < 4:
                 raise ValueError(f"labeled regions need k >= 4, got k={self.k}")
-            targets = _region_targets(self.k)
+            targets = cases._region_targets(self.k)
             region = str(CaseLabel(label.tag, label.mirrored))
             if region not in targets:
                 raise ValueError(f"no k={self.k} region {self.target}; use {', '.join(targets)}")
-            params = _region_params(self.k, label)
+            params = cases._region_params(self.k, label)
             if label.param is not None and label.param not in params:
                 allowed = f"{params[0]}..{params[-1]}" if params else "none"
                 raise ValueError(f"no k={self.k} region {self.target}; params of {region}: {allowed}")
         object.__setattr__(self, "_label", label)
-        object.__setattr__(self, "target", str(label) if label else self.target)  # BC(02) is BC(2)
+        object.__setattr__(self, "target", str(label) if label else self.target)  # canonical form
 
     @property
     def name(self) -> str:
@@ -660,31 +660,6 @@ def _buckets(bound: int) -> tuple[tuple[int, int], ...]:
     if bound <= G:
         return tuple((v, v) for v in range(1, bound + 1))
     return tuple((i * bound // G + 1, (i + 1) * bound // G) for i in range(G))
-
-
-def _p_range(shape: str, x0: int, x1: int, y0: int, y1: int, bound: int) -> tuple[int, int]:
-    """(lo, hi) such that every p_j in 1..bound that gives the triple (a_j,
-    p_j, a_{j+1}) ``shape``, for some a_j in [x0, x1] and a_{j+1} in [y0, y1],
-    lies in [lo, hi]; for single values, exactly those p_j do.  Each end is
-    bounded term by term over the box."""
-    lo, hi = max(0, x0 - y1, y0 - x1) // 2 + 1, bound  # validity: 2p > |a_j - a_{j+1}|
-    if shape == "A":
-        lo, hi = max(lo, x0 + 1), min(hi, y1 - 1)
-    elif shape == "B":
-        lo, hi = max(lo, y0 + 1), min(hi, x1 - 1)
-    elif shape == "peak":
-        lo = max(lo, x0 + 1, y0 + 1)
-    elif shape != "valid":  # a pit, maybe split
-        hi = min(hi, x1 - 1, y1 - 1)
-        if shape == "CA":
-            lo = max(lo, (3 * x0 - y1) // 2 + 1)
-        elif shape == "CB":
-            hi = min(hi, (3 * x1 - y0 - 1) // 2)
-        elif shape == "CA~":
-            lo = max(lo, (3 * y0 - x1) // 2 + 1)
-        elif shape == "CB~":
-            hi = min(hi, (3 * y1 - x0 - 1) // 2)
-    return lo, hi
 
 
 def _p_count(shapes: tuple[str, ...], x0: int, x1: int, y0: int, y1: int, bound: int) -> int:
@@ -755,12 +730,14 @@ def sample_config(
     of the exact counts) / (product of the envelopes), which keeps it
     uniform.
 
-    ``cases.label_of`` and the target's ``matches`` test every draw.  Where
-    the shapes pin the region down (every k=4 region, BA, BB, BE, BC(m) and
-    BC(m)~) no draw fails them; elsewhere they reject draws outside it.
-    After ``max_rejections`` rejected draws, by that test or the envelope
-    step, the next rejection raises ``RegionExhaustedError``; so does a
-    table that holds no config, before anything is read from ``rng``.
+    ``cases.label_of`` and the target's ``matches`` test every draw; where
+    the shapes are exact, no draw fails them.  The budget of rejected draws,
+    by that test or the envelope step, is ``max_rejections`` or 64 times the
+    table's total, whichever is less: a draw lands on each config of the
+    region with probability 1/total, so a region that holds any config runs
+    out with probability below e^-64.  The next rejection raises
+    ``RegionExhaustedError``; so does a table that holds no config, before
+    anything is read from ``rng``.
     """
     if type(rng) is not random.Random:
         raise TypeError(f"sample_config needs a random.Random, got {type(rng).__name__}")
@@ -770,7 +747,8 @@ def sample_config(
         raise RegionExhaustedError(f"region {spec.name} holds no config at bound {bound}; raise the bound")
     shapes = cases.gap_shapes(k, target)
     randrange, label_of = rng.randrange, cases.label_of
-    for _ in range(max_rejections + 1):
+    budget = min(max_rejections, 64 * last_sums[-1])
+    for _ in range(budget + 1):
         picked = [bisect_right(last_sums, randrange(last_sums[-1]))]
         for j in range(k - 2, -1, -1):
             row = list(accumulate(map(mul, forward[j], gaps[j][picked[-1]])))
@@ -800,7 +778,7 @@ def sample_config(
         den = spec.denominator
         return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
     raise RegionExhaustedError(
-        f"no config for region {spec.name} after {max_rejections} rejected draws at bound {bound};"
+        f"no config for region {spec.name} after {budget} rejected draws at bound {bound};"
         " raise the bound"
     )
 
@@ -964,31 +942,6 @@ def campaign(
     return Report(rng_seed, samples_per_region, oracle, tuple(results))
 
 
-def _region_targets(k: int) -> tuple[str, ...]:
-    """Every label the classifier returns at this k, without params (plus
-    mirrored end variants); "all-valid" below k=4."""
-    if k == 4:
-        return (
-            "AA", "AA~", "AB", "AB~", "ACA", "ACA~", "ACB", "ACB~",
-            "ADA", "ADB", "ADCA", "ADCB", "ADD",
-        )
-    if k > 4:
-        return ("BA", "BB", "BC", "BC~", "BD", "BE", "UNCLASSIFIED")
-    return ("all-valid",)
-
-
-def _region_params(k: int, label: CaseLabel) -> range:
-    """The params the classifier gives ``label``'s (tag, mirrored) at this k,
-    as ``cases.label_of`` sets them: the first ascending gap for BC, counted
-    on the mirror for BC~, and the longest intra-pair distance for BD."""
-    if k > 4 and label.tag == "BC":
-        # gap 1 ascending is BA, and gap 1 descending (gap k-1 of the mirror) is BB
-        return range(1, k - 1) if label.mirrored else range(2, k)
-    if k > 4 and label.tag == "BD":
-        return range(1, k + 1)
-    return range(0)
-
-
 def default_regions(k: int, bound: int = 50) -> tuple[RegionSpec, ...]:
     """Every case region defined at this k (plus mirrored end variants)."""
-    return tuple(RegionSpec(k=k, target=t, bound=bound) for t in _region_targets(k))
+    return tuple(RegionSpec(k=k, target=t, bound=bound) for t in cases._region_targets(k))

@@ -12,11 +12,12 @@ from kmeans_richness.cases import (
     PlanSemantics,
     UnclassifiedConfigError,
     _adversarial_plan,
+    _region_params,
+    _region_targets,
     adversarial_plan,
     classify,
 )
 from kmeans_richness.model import DistanceConfig, Seeding, mirror, mirror_seeding, validate
-from kmeans_richness.verify import _region_params, _region_targets
 
 
 def cfg4(a, p):

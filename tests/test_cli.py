@@ -591,6 +591,24 @@ class TestCertifyCommand:
         assert out == ""
         assert err == "error: 'k' must be an integer\n"
 
+    @pytest.mark.parametrize(
+        "extra", [["a=9,9,9; p=1,1"], ["--output", "other.json"]], ids=["config", "output"]
+    )
+    def test_check_takes_no_config_and_no_output(self, capsys, tmp_path, monkeypatch, extra):
+        cert_path = tmp_path / "cert.json"
+        run_cli(capsys, "certify", "a=1,3,3,1; p=2,2,2", "--output", str(cert_path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate was read before the command line was checked")
+
+        monkeypatch.setattr(verify, "recheck_certificate", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "certify", *extra, "--check", str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: certify --check PATH takes no config and no --output\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cert.json"]
+
     def test_check_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", "--check", str(tmp_path))
         assert code == 2

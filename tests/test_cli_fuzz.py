@@ -21,7 +21,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kmeans_richness import model, verify
+from kmeans_richness import cases, model, verify
 from kmeans_richness.cli import main
 
 HUGE = st.integers(10**30, 10**80)
@@ -331,7 +331,7 @@ def verify_args(draw):
 def well_formed_verify_args(draw):
     """Options that name real regions at a k in 1..5."""
     k = draw(st.integers(1, 5))
-    targets = st.lists(st.sampled_from(verify._region_targets(k)), min_size=1, max_size=3)
+    targets = st.lists(st.sampled_from(cases._region_targets(k)), min_size=1, max_size=3)
     regions = draw(st.one_of(st.just("all"), targets.map(",".join)))
     args = [
         "verify", f"--k={k}", f"--regions={regions}", f"--samples={draw(st.integers(1, 2))}",

@@ -23,13 +23,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kmeans_richness import cases, verify
-from kmeans_richness.cases import UNCLASSIFIED, CaseLabel, ClassificationTieError
+from kmeans_richness.cases import (
+    UNCLASSIFIED,
+    CaseLabel,
+    ClassificationTieError,
+    _region_params,
+    _region_targets,
+)
 from kmeans_richness.model import DistanceConfig
 from kmeans_richness.verify import (
     RegionExhaustedError,
     RegionSpec,
-    _region_params,
-    _region_targets,
     default_regions,
     sample_config,
 )
@@ -341,6 +345,26 @@ def test_zero_budget_samples_an_exact_region():
         assert _in_region(spec, sample_config(spec, rng, max_rejections=0))
 
 
+def test_budget_is_capped_by_the_table(monkeypatch):
+    """A region whose table holds few configs, all rejected by the label,
+    gives up after 64 draws per config in its table, not ``max_rejections``."""
+    calls = []
+    label_of = cases.label_of
+    monkeypatch.setattr(cases, "label_of", lambda a, p: calls.append(a) or label_of(a, p))
+    exhausted = []
+    for spec in default_regions(5, bound=2):
+        total = verify._region_table(5, spec._label, 2)[2][-1]
+        calls.clear()
+        try:
+            sample_config(spec, random.Random(5))
+        except RegionExhaustedError as exc:
+            if total:
+                assert f"after {64 * total} rejected draws" in str(exc)
+                exhausted.append(spec.target)
+        assert len(calls) <= 64 * total + 1, spec.name
+    assert "BC" in exhausted
+
+
 # --- the tables against exhaustive enumeration ---------------------------------
 
 
@@ -441,7 +465,7 @@ def _check_tables(k, low, top, exact_counts=True):
                 for x, y in product(range(1, b + 1), repeat=2):
                     ps = [p for s in gap for p in range(1, b + 1) if _has_shape(s, x, p, y)]
                     assert len(set(ps)) == len(ps), (gap, x, y)  # the shapes are disjoint
-                    ranges = [verify._p_range(s, x, x, y, y, b) for s in gap]
+                    ranges = [cases._p_range(s, x, x, y, y, b) for s in gap]
                     assert sorted(ps) == [p for lo, hi in sorted(ranges) for p in range(lo, hi + 1)]
                     count = verify._p_count(gap, x, x, y, y, b)
                     assert count == len(ps) <= table[bucket_of[y]][bucket_of[x]], (gap, x, y)
@@ -620,7 +644,7 @@ def _label_or_tie(classify, *args):
         return ("tie", exc.description)
 
 
-draws = st.integers(4, 6).flatmap(
+draws = st.integers(4, 8).flatmap(
     lambda k: st.lists(st.integers(1, 4), min_size=2 * k - 1, max_size=2 * k - 1)
 )
 

@@ -611,7 +611,7 @@ class TestSampleConfig:
         with pytest.raises(ValueError, match="no k="):
             RegionSpec(k=k, target=target)
 
-    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("k", [4, 5, 6])
     def test_region_params_are_the_classifiers(self, k):
         """Every label of a valid config with entries in 1..3 is a region, and
         every param a region rejects is one the classifier never returns."""
