@@ -117,7 +117,16 @@ _GAP_SHAPES = {(True, False): "A", (False, True): "B", (False, False): "pit", (T
 # end tag with its mirror.  The ADC split names its sides the other way round.
 _END_TAGS = {"A": "AA", "B": "AB", "CA": "ACA", "CB": "ACB"}
 _MIDDLE_TAGS = {"A": "ADA", "B": "ADB", "CB": "ADCA", "CA": "ADCB", "peak": "ADD"}
-_TARGETS4 = (*(tag + m for tag in _END_TAGS.values() for m in ("", "~")), *_MIDDLE_TAGS.values())
+_REGIONS4 = (
+    *(CaseLabel(tag, mirrored) for tag in _END_TAGS.values() for mirrored in (False, True)),
+    *map(CaseLabel, _MIDDLE_TAGS.values()),
+)
+# The k>4 regions.
+_REGIONS = (
+    *map(CaseLabel, ("BA", "BB", "BC")),
+    CaseLabel("BC", mirrored=True),
+    *map(CaseLabel, ("BD", "BE", UNCLASSIFIED)),
+)
 # One shared label per (tag, mirrored, param).
 _shared_label = cache(CaseLabel)
 
@@ -177,12 +186,16 @@ def label_of(a, p) -> CaseLabel:
     return _label4(a, p) if len(a) == 4 else _label_k(a, p)
 
 
-def _region_targets(k: int) -> tuple[str, ...]:
+def _region_labels(k: int) -> tuple[CaseLabel, ...]:
     """Every label the classifier returns at this k, without params (plus
-    mirrored end variants); "all-valid" below k=4."""
-    if k == 4:
-        return _TARGETS4
-    return ("BA", "BB", "BC", "BC~", "BD", "BE", UNCLASSIFIED) if k > 4 else ("all-valid",)
+    mirrored end variants); none below k=4."""
+    return _REGIONS4 if k == 4 else _REGIONS if k > 4 else ()
+
+
+@cache
+def _region_targets(k: int) -> tuple[str, ...]:
+    """``_region_labels`` as text; "all-valid" below k=4."""
+    return tuple(map(str, _region_labels(k))) or ("all-valid",)
 
 
 def _region_params(k: int, label: CaseLabel) -> range:

@@ -7,9 +7,11 @@ every resolution.
 
 Internally the iteration runs on integer coordinates obtained by clearing
 denominators (partition sequences are scale-invariant), with centroids kept
-as exact ``(sum, count)`` pairs; traces expose them as Fractions.  The public
-``assign`` and ``update`` are the plain-Fraction definition of one step,
-the reference the integer core is tested against.
+as exact ``(sum, count)`` pairs.  A trace keeps that integer history:
+serialization, digests, partition sequences and the empty-rule flag read it
+directly, and only ``LloydTrace.steps`` exposes Fractions, built on first
+access.  The public ``assign`` and ``update`` are the plain-Fraction
+definition of one step, the reference the integer core is tested against.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
+from math import gcd
 from typing import Sequence
 
-from .model import DistanceConfig, Partition, PointSet, Seeding, _int_positions, _over_lcm
+from .model import DistanceConfig, Partition, PointSet, Seeding, _int_positions, canonical_labels
 
 DEFAULT_CAP = 10_000
 DEFAULT_BRANCH_LIMIT = 10_000
@@ -105,9 +108,51 @@ class LloydStep:
 
 @dataclass(frozen=True)
 class LloydTrace:
+    """A run from a seeding: its steps and how it ended.
+
+    ``_history`` holds the steps as integers: per step, centroids as (sum,
+    count) pairs meaning sum/(count * ``_den``), the empty mask and the
+    labels (None on a strict-mode tie).  The engine's traces hold only that,
+    and build ``steps`` on first read; the methods below and
+    ``trace_to_dict`` read the integers.
+    """
+
     seeding: Seeding
     steps: tuple[LloydStep, ...]
     outcome: Outcome
+
+    def __post_init__(self):
+        # steps given: their history over den 1, a centroid n/d as the pair (n, d)
+        history = [
+            (
+                [(v.numerator, v.denominator) for v in step.centroids.values],
+                step.centroids.empty,
+                step.partition.labels if step.partition is not None else None,
+            )
+            for step in self.steps
+        ]
+        vars(self).update(_history=history, _den=1)
+
+    @classmethod
+    def _of_history(cls, seeding: Seeding, history: list, den: int, outcome: Outcome) -> LloydTrace:
+        trace = object.__new__(cls)
+        vars(trace).update(seeding=seeding, outcome=outcome, _history=history, _den=den)
+        return trace
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set, so for ``steps`` only once
+        if name != "steps" or "_history" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self._den
+        steps = tuple(
+            LloydStep(
+                Centroids(tuple(Fraction(s, c * den) for s, c in cents), empty),
+                Partition(labels) if labels is not None else None,
+            )
+            for cents, empty, labels in self._history
+        )
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     @property
     def converged(self) -> bool:
@@ -119,13 +164,11 @@ class LloydTrace:
 
     def partition_sequence(self) -> tuple[tuple[int, ...], ...]:
         """Canonical label tuples of the completed steps."""
-        return tuple(
-            step.partition.canonical_labels() for step in self.steps if step.partition is not None
-        )
+        return tuple(canonical_labels(labels) for _, _, labels in self._history if labels is not None)
 
     def used_empty_cluster_rule(self) -> bool:
         """True if any step carried a frozen empty-cluster centroid."""
-        return any(any(step.centroids.empty) for step in self.steps)
+        return any(any(empty) for _, empty, _ in self._history)
 
 
 # --- scaled integer core ------------------------------------------------------
@@ -237,7 +280,7 @@ class LineEngine:
     """Reusable iteration core for one point set (denominators cleared once)."""
 
     def __init__(self, points: PointSet):
-        self._load(*_over_lcm(points.positions))
+        self._load(*points._ints)
 
     @classmethod
     def _of_config(cls, cfg: DistanceConfig) -> LineEngine:
@@ -254,20 +297,6 @@ class LineEngine:
         if seeding.indices[-1] > len(self._xs):
             raise ValueError(f"seed index {seeding.indices[-1]} out of range 1..{len(self._xs)}")
 
-    def _centroids(self, cents: Sequence[tuple[int, int]], empty: tuple[bool, ...]) -> Centroids:
-        den = self._den
-        return Centroids(tuple(Fraction(s, c * den) for s, c in cents), empty)
-
-    def _materialize(self, seeding: Seeding, steps: list[_RawStep], outcome: Outcome) -> LloydTrace:
-        out = tuple(
-            LloydStep(
-                self._centroids(cents, empty),
-                Partition(labels) if labels is not None else None,
-            )
-            for cents, empty, labels in steps
-        )
-        return LloydTrace(seeding, out, outcome)
-
     def run_strict(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> LloydTrace:
         self._check_seeding(seeding)
         steps: list[_RawStep] = []
@@ -279,7 +308,7 @@ class LineEngine:
             outcome = TieEncountered(*detail)
         else:
             outcome = IterationCapExceeded(cap)
-        return self._materialize(seeding, steps, outcome)
+        return LloydTrace._of_history(seeding, steps, self._den, outcome)
 
     def run_lean(
         self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
@@ -328,7 +357,7 @@ class LineEngine:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
-        xs, prefix, n = self._xs, self._prefix, len(self._xs)
+        xs, prefix, n, den = self._xs, self._prefix, len(self._xs), self._den
         results: list[LloydTrace] = []
 
         def explore(
@@ -339,7 +368,7 @@ class LineEngine:
             depth: int,
         ) -> None:
             if depth == cap:
-                results.append(self._materialize(seeding, steps, IterationCapExceeded(cap)))
+                results.append(LloydTrace._of_history(seeding, steps, den, IterationCapExceeded(cap)))
                 return
             # A point on a midpoint joins the left (lower-id) cluster first.
             options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in _boundaries(xs, cents)]
@@ -349,9 +378,8 @@ class LineEngine:
                 labels = _labels(cuts, n)
                 branch_steps = steps + [(cents, empty, labels)]
                 if cuts == prev:
-                    results.append(
-                        self._materialize(seeding, branch_steps, Converged(Partition(labels)))
-                    )
+                    outcome = Converged(Partition(labels))
+                    results.append(LloydTrace._of_history(seeding, branch_steps, den, outcome))
                     continue
                 next_cents, next_empty = _means(prefix, cuts, cents)
                 explore(next_cents, next_empty, branch_steps, cuts, depth + 1)
@@ -471,15 +499,22 @@ def outcome_to_dict(outcome: Outcome) -> dict:
     return {"kind": outcome.kind, "cap": outcome.cap}
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def trace_to_dict(trace: LloydTrace) -> dict:
+    den = trace._den
     return {
         "seeding": list(trace.seeding.indices),
         "steps": [
             {
-                "centroids": [str(v) for v in step.centroids.values],
-                "labels": list(step.partition.labels) if step.partition is not None else None,
+                "centroids": [_ratio_text(s, c * den) for s, c in cents],
+                "labels": list(labels) if labels is not None else None,
             }
-            for step in trace.steps
+            for cents, _empty, labels in trace._history
         ],
         "outcome": outcome_to_dict(trace.outcome),
     }

@@ -163,7 +163,12 @@ def _require_valid(cfg: DistanceConfig) -> None:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Strictly increasing coordinates on the line."""
+    """Strictly increasing coordinates on the line.
+
+    ``_ints`` is the same point set as integers over one denominator:
+    (numerators, den), with den the lcm of the positions' denominators.  It
+    is not a field, so eq, hash and repr ignore it.
+    """
 
     positions: tuple[Fraction, ...]
 
@@ -172,9 +177,21 @@ class PointSet:
         object.__setattr__(self, "positions", pos)
         if not pos:
             raise ValueError("empty point set")
-        for left, right in zip(pos, pos[1:]):
+        self._keep_ints(*_over_lcm(pos))
+
+    @classmethod
+    def _of_ints(cls, xs: tuple[int, ...], den: int) -> PointSet:
+        """The points xs[i]/den, where den is the lcm of their denominators."""
+        points = object.__new__(cls)
+        object.__setattr__(points, "positions", tuple(Fraction(x, den) for x in xs))
+        points._keep_ints(xs, den)
+        return points
+
+    def _keep_ints(self, xs: tuple[int, ...], den: int) -> None:
+        for left, right in zip(xs, xs[1:]):  # den > 0: ordered as the positions are
             if left >= right:
                 raise ValueError("positions must be strictly increasing")
+        object.__setattr__(self, "_ints", (xs, den))
 
     @property
     def n(self) -> int:
@@ -209,8 +226,7 @@ def _int_positions(cfg: DistanceConfig) -> tuple[tuple[int, ...], int]:
 
 def embed(cfg: DistanceConfig) -> PointSet:
     """Lay out the 2k points with the first at 0, alternating a_j and p_j."""
-    xs, den = _int_positions(cfg)
-    return PointSet(tuple(Fraction(x, den) for x in xs))
+    return PointSet._of_ints(*_int_positions(cfg))
 
 
 def canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:

@@ -625,14 +625,7 @@ class RegionSpec:
     denominator: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.bound < 2:
-            raise ValueError("bound must be >= 2")
-        if self.bound > _MAX_BOUND:
-            raise ValueError(f"bound must be <= {_MAX_BOUND} (entries stay within one 32-bit word)")
-        if self.denominator < 1:
-            raise ValueError("denominator must be >= 1")
+        self._check_sizes()
         label = None
         if self.target != "all-valid":
             label = CaseLabel.parse(self.target)  # fail fast on bad label syntax
@@ -648,6 +641,25 @@ class RegionSpec:
                 raise ValueError(f"no k={self.k} region {self.target}; params of {region}: {allowed}")
         object.__setattr__(self, "_label", label)
         object.__setattr__(self, "target", str(label) if label else self.target)  # canonical form
+
+    @classmethod
+    def _of_region(cls, k: int, label: CaseLabel | None, bound: int) -> RegionSpec:
+        """The spec of a region that ``cases`` lists at this k (None: all-valid), unparsed."""
+        spec = object.__new__(cls)
+        target = str(label) if label else "all-valid"
+        vars(spec).update(k=k, target=target, bound=bound, denominator=1, _label=label)
+        spec._check_sizes()
+        return spec
+
+    def _check_sizes(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.bound < 2:
+            raise ValueError("bound must be >= 2")
+        if self.bound > _MAX_BOUND:
+            raise ValueError(f"bound must be <= {_MAX_BOUND} (entries stay within one 32-bit word)")
+        if self.denominator < 1:
+            raise ValueError("denominator must be >= 1")
 
     @property
     def name(self) -> str:
@@ -944,4 +956,4 @@ def campaign(
 
 def default_regions(k: int, bound: int = 50) -> tuple[RegionSpec, ...]:
     """Every case region defined at this k (plus mirrored end variants)."""
-    return tuple(RegionSpec(k=k, target=t, bound=bound) for t in cases._region_targets(k))
+    return tuple(RegionSpec._of_region(k, label, bound) for label in cases._region_labels(k) or (None,))

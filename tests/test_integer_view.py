@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 from kmeans_richness import cases, model
 from kmeans_richness.cases import ClassificationTieError
 from kmeans_richness.lloyd import LineEngine
-from kmeans_richness.model import DistanceConfig, NonPositiveDistanceError, Seeding, embed, validate
+from kmeans_richness.model import (
+    DistanceConfig,
+    NonPositiveDistanceError,
+    PointSet,
+    Seeding,
+    embed,
+    validate,
+)
 
 
 def entries(low):
@@ -107,6 +114,45 @@ def test_engine_from_view_matches_embedded_engine(cfg):
     assert all(type(x) is int for x in engine._xs)
     seeding = Seeding(tuple(range(1, 2 * cfg.k + 1, 2)))  # the odd points
     assert engine.run_strict(seeding) == reference.run_strict(seeding)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), entries(-12), entries(1))
+def test_point_set_view_is_over_lcm(cfg, offset, factor):
+    points = embed(cfg)
+    public = PointSet(points.positions)  # through the checking constructor
+    assert points._ints == public._ints == model._over_lcm(points.positions)
+    assert points == public and hash(points) == hash(public) and repr(points) == repr(public)
+    for moved in (points.translate(offset), points.scale(factor), public.translate(-offset)):
+        assert moved._ints == model._over_lcm(moved.positions)
+        assert LineEngine(moved)._xs == moved._ints[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries(-12), min_size=1, max_size=9, unique=True))
+def test_public_point_set_view_is_over_lcm(positions):
+    points = PointSet(sorted(positions))
+    xs, den = points._ints
+    assert (xs, den) == model._over_lcm(points.positions)
+    engine = LineEngine(points)
+    assert (engine._xs, engine._den) == (xs, den)
+
+
+@pytest.mark.parametrize(
+    "positions", [(0, 0), (1, 0), (0, "1/2", "1/2"), ("1/3", "1/4"), (-1, -2), (0, 2, 1, 3)]
+)
+def test_non_increasing_point_set_message(positions):
+    with pytest.raises(ValueError) as info:
+        PointSet(positions)
+    assert str(info.value) == "positions must be strictly increasing"
+
+
+def test_point_set_view_is_not_a_field():
+    points = PointSet(("1/2", "2/3", 1))
+    assert points._ints == ((3, 4, 6), 6)
+    assert points == PointSet((Fraction(1, 2), Fraction(2, 3), 1))
+    assert hash(points) == hash((points.positions,))
+    assert repr(points) == "PointSet(positions=(Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)))"
 
 
 @settings(max_examples=300, deadline=None)

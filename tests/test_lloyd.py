@@ -1,6 +1,7 @@
 """Lloyd iteration: assignment, updates, the table step, traces, invariants."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -621,3 +622,75 @@ class TestSerialization:
         assert trace_digest(run(points, Seeding((2, 4, 5, 7)))) != trace_digest(
             run(points, Seeding((1, 3, 5, 7)))
         )
+
+
+class TestIntegerHistory:
+    """Engine traces keep their integer history and build ``steps`` on first
+    read; a trace rebuilt from those steps must serialize, compare and answer
+    the same."""
+
+    @staticmethod
+    def runs(rng):
+        """Strict and branch traces on tie-heavy, fractional and translated
+        configs at caps 1, 2, 3 and the default, and on a config where some
+        runs empty a cluster."""
+        points = embed(DistanceConfig((18, 9, 17, 1, 36, 31), (7, 42, 50, 24, 10)))
+        for indices in ((1, 2, 3, 7, 8, 9), (2, 3, 7, 8, 9, 10), (2, 4, 6, 8, 10, 12)):
+            yield run(points, Seeding(indices))
+            yield from run(points, Seeding(indices), TiePolicy.BRANCH)
+        for i in range(240):
+            k = rng.randint(1, 6)
+            cfg = tie_prone_config(rng, k)
+            if i % 3 == 1:  # fractional entries
+                cfg = DistanceConfig(
+                    tuple(Fraction(x, rng.randint(1, 3)) for x in cfg.a),
+                    tuple(Fraction(x, rng.randint(1, 3)) for x in cfg.p),
+                )
+            points = embed(cfg)
+            if i % 3 == 2:  # negative and fractional positions
+                points = points.translate(Fraction(-rng.randint(1, 20), rng.randint(1, 4)))
+            seeding = random_seeding(rng, k)
+            if i % 2:  # a centroid at point 1, which embed puts at 0
+                seeding = Seeding((1, *seeding.indices[1:]))
+            for cap in (1, 2, 3, DEFAULT_CAP):
+                yield run(points, seeding, cap=cap)
+                yield from run(points, seeding, TiePolicy.BRANCH, cap)
+
+    def test_engine_traces_match_rebuilt_traces(self):
+        kinds = set()
+        zeros = empties = 0
+        for trace in self.runs(random.Random(26)):
+            data = trace_to_dict(trace)  # before ``steps`` is first read
+            sequence = trace.partition_sequence()
+            empty = trace.used_empty_cluster_rule()
+            rebuilt = LloydTrace(trace.seeding, trace.steps, trace.outcome)
+            assert data == trace_to_dict(rebuilt)
+            assert sequence == rebuilt.partition_sequence()
+            assert empty == rebuilt.used_empty_cluster_rule()
+            assert trace == rebuilt and hash(trace) == hash(rebuilt)
+            assert repr(trace) == repr(rebuilt)
+            assert all(type(v) is Fraction for step in trace.steps for v in step.centroids.values)
+            kinds.add(trace.outcome.kind)
+            zeros += "0" in data["steps"][0]["centroids"]
+            empties += empty
+        assert kinds == {"converged", "tie", "cap-exceeded"}
+        assert zeros > 100 and empties > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+    def test_centroid_text_is_fraction_text(self, num, den):
+        assert lloyd._ratio_text(num, den) == str(Fraction(num, den))
+
+    def test_pickle_before_and_after_steps_are_read(self):
+        points = embed(DistanceConfig((Fraction(1, 2), 3, 3, 1), (2, Fraction(4, 3), 2)))
+        traces = (run(points, Seeding((1, 4, 5, 7))), *run(points, Seeding((1, 3, 5, 7)), TiePolicy.BRANCH))
+        for trace in traces:
+            digest = trace_digest(trace)
+            before = pickle.loads(pickle.dumps(trace))
+            assert trace_digest(before) == digest
+            assert before == trace and repr(before) == repr(trace)
+            trace.steps  # now built and kept
+            after = pickle.loads(pickle.dumps(trace))
+            assert trace_digest(after) == digest
+            assert after == trace and after.steps == trace.steps
+            assert after.partition_sequence() == trace.partition_sequence()

@@ -876,3 +876,21 @@ class TestDefaultRegions:
 
     def test_small_k(self):
         assert [r.target for r in default_regions(2)] == ["all-valid"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
+    def test_specs_equal_typed_ones(self, k):
+        # default_regions builds its specs from the labels cases lists, unparsed
+        for bound in (2, 12, 50):
+            typed = tuple(RegionSpec(k=k, target=t, bound=bound) for t in cases._region_targets(k))
+            regions = default_regions(k, bound)
+            assert regions == typed
+            assert [r._label for r in regions] == [r._label for r in typed]
+            assert [repr(r) for r in regions] == [repr(r) for r in typed]
+
+    @pytest.mark.parametrize("k, bound", [(0, 50), (-1, 50), (4, 1), (5, 2**32), (2, 0)])
+    def test_bad_sizes_raise_as_typed_ones(self, k, bound):
+        with pytest.raises(ValueError) as typed:
+            RegionSpec(k=k, target=cases._region_targets(k)[0], bound=bound)
+        with pytest.raises(ValueError) as info:
+            default_regions(k, bound)
+        assert str(info.value) == str(typed.value)
