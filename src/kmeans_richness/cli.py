@@ -80,7 +80,7 @@ def _check_writable(path: Path) -> None:
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(model._json_text(data))
 
 
 def _plan_text(plan: cases.AdversarialPlan) -> str:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?\Z")
@@ -95,6 +96,24 @@ class DistanceConfig:
             first = next(x for x, num in zip(a + p, nums) if num <= 0)
             raise NonPositiveDistanceError(f"non-positive distance {first}")
         object.__setattr__(self, "_ints", (nums[: len(a)], nums[len(a) :], den))
+
+    @classmethod
+    def _of_ints(cls, a: Sequence[int], p: Sequence[int], den: int) -> DistanceConfig:
+        """The config a[j]/den, p[j]/den from positive numerators; unchecked.
+
+        Dividing the numerators and den by their one gcd gives the view
+        ``_over_lcm`` would."""
+        g = gcd(den, *a, *p)
+        if g == 1:
+            a, p = tuple(a), tuple(p)
+        else:
+            a, p, den = tuple(x // g for x in a), tuple(x // g for x in p), den // g
+        cfg = object.__new__(cls)
+        rational = Fraction if den == 1 else lambda x: Fraction(x, den)
+        object.__setattr__(cfg, "a", tuple(map(rational, a)))
+        object.__setattr__(cfg, "p", tuple(map(rational, p)))
+        object.__setattr__(cfg, "_ints", (a, p, den))
+        return cfg
 
     @property
     def k(self) -> int:
@@ -404,6 +423,27 @@ def config_to_dict(cfg: DistanceConfig) -> dict:
         "a": [str(x) for x in cfg.a],
         "p": [str(x) for x in cfg.p],
     }
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``'s text, for dicts with str
+    keys, lists, tuples, str, int, bool and None; any other type raises
+    TypeError, as does a key that is not a str.  (``json.dumps`` takes its
+    pure-Python encoder whenever ``indent`` is set.)"""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        parts = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    if not isinstance(obj, dict):
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    parts = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+    return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
 
 
 def config_from_dict(data: dict) -> DistanceConfig:

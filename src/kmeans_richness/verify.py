@@ -423,7 +423,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return model._json_text(self.to_dict())
 
 
 def certify_config(
@@ -787,8 +787,7 @@ def sample_config(
                 continue
             if target is not None and not label.matches(target):
                 continue
-        den = spec.denominator
-        return DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
+        return DistanceConfig._of_ints(a, p, spec.denominator)
     raise RegionExhaustedError(
         f"no config for region {spec.name} after {budget} rejected draws at bound {bound};"
         " raise the bound"
@@ -860,7 +859,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return model._json_text(self.to_dict())
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

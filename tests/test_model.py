@@ -1,5 +1,7 @@
 """Model layer: configs, embedding, partitions, seedings, formats."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from kmeans_richness.model import (
     Partition,
     PointSet,
     Seeding,
+    _json_text,
     config_from_dict,
     config_to_dict,
     embed,
@@ -83,6 +86,37 @@ class TestDistanceConfig:
         cfg = DistanceConfig((5,), ())
         assert cfg.k == 1
         assert validate(cfg).valid
+
+
+class TestOfInts:
+    """``DistanceConfig._of_ints`` against the public constructor."""
+
+    @staticmethod
+    def _check(a, p, den):
+        cfg = DistanceConfig._of_ints(a, p, den)
+        ref = DistanceConfig(tuple(Fraction(x, den) for x in a), tuple(Fraction(x, den) for x in p))
+        assert (cfg.a, cfg.p) == (ref.a, ref.p)
+        assert all(type(x) is Fraction for x in cfg.a + cfg.p)
+        assert cfg._ints == ref._ints
+        assert cfg == ref and hash(cfg) == hash(ref)
+        assert repr(cfg) == repr(ref)
+
+    @pytest.mark.parametrize("den", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_constructor(self, k, den):
+        rng = random.Random(100 * k + den)
+        for _ in range(40):
+            a = [rng.randint(1, 30) for _ in range(k)]
+            p = [rng.randint(1, 30) for _ in range(k - 1)]
+            self._check(a, p, den)
+            # numerators that share a factor with den, or are multiples of it
+            for factor in {f for f in (2, 3, den) if den % f == 0}:
+                self._check([factor * x for x in a], [factor * x for x in p], den)
+
+    def test_lists_become_tuples(self):
+        cfg = DistanceConfig._of_ints([2, 4], [6], 4)
+        assert cfg._ints == ((1, 2), (3,), 2)
+        assert cfg.a == (Fraction(1, 2), 1) and cfg.p == (Fraction(3, 2),)
 
 
 class TestEmbed:
@@ -308,6 +342,47 @@ class TestJsonFormat:
         assert config_from_dict({"k": "2", "a": ["1", "2"], "p": ["1"]}).k == 2
         with pytest.raises(ConfigParseError, match="declared k='3'"):
             config_from_dict({"k": "3", "a": ["1", "2"], "p": ["1"]})
+
+
+# strings with non-ASCII text, quotes, backslashes and control characters
+json_strings = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀ab') | st.characters(), max_size=8)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | json_strings
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """``_json_text`` against ``json.dumps(o, sort_keys=True, indent=2)``."""
+
+    @given(json_trees)
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj", [{}, [], (), {"a": {}, "b": [[], ()]}, [[[]]], "", 0, -(2**70), None, True, False]
+    )
+    def test_empty_and_scalar(self, obj):
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [1.5, [0.0], {"x": float("nan")}, {1, 2}, [frozenset()], Fraction(1, 2)]
+        + [{1: "x"}, {1: 0, "a": 1}, {"a": {None: 1}}],  # keys that are not str
+    )
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _json_text(obj)
 
 
 class TestScaleConfig:

@@ -254,6 +254,8 @@ def test_sampler_matches_reference(k, bound, denominator):
         # keep fewer in a rare one, and the samples are compared at equal size
         expected = _reference_draws(spec, seed, 8)
         assert all(_in_region(spec, cfg) for cfg in drawn + expected), spec.name
+        # a draw built from its integers holds the public constructor's view
+        assert all(cfg._ints == DistanceConfig(cfg.a, cfg.p)._ints for cfg in drawn), spec.name
         drawn = drawn[: len(expected)]
         ours += [_halves(cfg, spec, index) for cfg in drawn]
         theirs += [_halves(cfg, spec, index) for cfg in expected]
