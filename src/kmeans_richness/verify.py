@@ -33,7 +33,6 @@ VERDICT_SKIPPED = "skipped-tie"
 
 SEMANTICS_ORACLE = "oracle-only"
 
-DEFAULT_MAX_REJECTIONS = 10**6
 TIE_RETRIES = 50
 # Largest bound: entries stay within one 32-bit word, and the sampler's
 # tests cover bounds up to it.
@@ -114,6 +113,10 @@ def _survey(
     tied subtrees and its children's entries; they are built once, at the
     end, in order.  Their indices are sorted, distinct and 1-based by
     construction, so they skip ``Seeding``'s checks.
+
+    The empty-block tag is needed: without it, states with different frozen
+    centroids merge, and a=50,50,3,1,3,3,50; p=50,50,1,50,50,2 would count
+    890 failed and 2,542 tied seedings at the default cap, not 887 and 2,545.
 
     A partition with no empty block fixes the next centroids, so one Lloyd
     step runs per distinct such partition: a memo maps its cuts to the
@@ -717,11 +720,7 @@ def _region_table(k: int, target: CaseLabel | None, bound: int) -> tuple:
     return gaps, forward, list(accumulate(forward[-1]))
 
 
-def sample_config(
-    spec: RegionSpec,
-    rng: random.Random,
-    max_rejections: int = DEFAULT_MAX_REJECTIONS,
-) -> DistanceConfig:
+def sample_config(spec: RegionSpec, rng: random.Random) -> DistanceConfig:
     """A config drawn uniformly from the region's valid, predicate-tie-free
     configs with numerators in 1..bound over the spec's denominator: the
     distribution of drawing every numerator uniformly until a draw lands in
@@ -744,12 +743,11 @@ def sample_config(
 
     ``cases.label_of`` and the target's ``matches`` test every draw; where
     the shapes are exact, no draw fails them.  The budget of rejected draws,
-    by that test or the envelope step, is ``max_rejections`` or 64 times the
-    table's total, whichever is less: a draw lands on each config of the
-    region with probability 1/total, so a region that holds any config runs
-    out with probability below e^-64.  The next rejection raises
-    ``RegionExhaustedError``; so does a table that holds no config, before
-    anything is read from ``rng``.
+    by that test or the envelope step, is 64 times the table's total: a draw
+    lands on each config of the region with probability 1/total, so a region
+    that holds any config runs out with probability below e^-64.  The next
+    rejection raises ``RegionExhaustedError``; so does a table that holds no
+    config, before anything is read from ``rng``.
     """
     if type(rng) is not random.Random:
         raise TypeError(f"sample_config needs a random.Random, got {type(rng).__name__}")
@@ -759,7 +757,7 @@ def sample_config(
         raise RegionExhaustedError(f"region {spec.name} holds no config at bound {bound}; raise the bound")
     shapes = cases.gap_shapes(k, target)
     randrange, label_of = rng.randrange, cases.label_of
-    budget = min(max_rejections, 64 * last_sums[-1])
+    budget = 64 * last_sums[-1]
     for _ in range(budget + 1):
         picked = [bisect_right(last_sums, randrange(last_sums[-1]))]
         for j in range(k - 2, -1, -1):
@@ -888,14 +886,14 @@ def _derived_rng(root_seed: int, region_index: int, slot: int, attempt: int) -> 
 
 
 def _slot(
-    spec: RegionSpec, region_index: int, slot: int, rng_seed: int, oracle: bool, max_rejections: int
+    spec: RegionSpec, region_index: int, slot: int, rng_seed: int, oracle: bool
 ) -> tuple[int, Certificate | None, str | None]:
     """One campaign slot: (tied attempts, decided certificate or None, error
     or None).  Only a violation is certified, with traces."""
     for attempt in range(TIE_RETRIES):
         rng = _derived_rng(rng_seed, region_index, slot, attempt)
         try:
-            cfg = sample_config(spec, rng, max_rejections)
+            cfg = sample_config(spec, rng)
         except RegionExhaustedError as exc:
             return attempt, None, str(exc)
         cert, pairs = _decide(cfg, oracle)
@@ -912,7 +910,6 @@ def campaign(
     rng_seed: int,
     *,
     oracle: bool = True,
-    max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> Report:
     """Sample and certify ``samples_per_region`` configs per region.
 
@@ -929,7 +926,7 @@ def campaign(
     for region_index, spec in enumerate(regions):
         result = RegionResult(spec, note="no theorem claim at k<4" if spec.k < 4 else None)
         for slot in range(samples_per_region):
-            tied, cert, error = _slot(spec, region_index, slot, rng_seed, oracle, max_rejections)
+            tied, cert, error = _slot(spec, region_index, slot, rng_seed, oracle)
             result.samples += tied
             result.ties_skipped += tied
             if cert is None:

@@ -346,9 +346,6 @@ def well_formed_verify_args(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(verify_args(), well_formed_verify_args()))
 def test_verify_options_fail_cleanly(tmp_path, monkeypatch, args):
-    # An empty region spends the whole draw budget (10**6 draws, seconds at
-    # these k); a smaller one finds it empty the same way, in milliseconds.
-    monkeypatch.setitem(verify.campaign.__kwdefaults__, "max_rejections", 2_000)
     monkeypatch.setenv("KMEANS_RICHNESS_OUTDIR", str(tmp_path))
     code, out, err = run_main(*args)
     output = next(arg for arg in args if arg.startswith("--output=")).removeprefix("--output=")

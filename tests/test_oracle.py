@@ -101,10 +101,13 @@ def test_acceptance_configs_match_reference(cfg):
 
 
 # Configs on which some run from the seeds keeps a frozen empty-cluster centroid.
+# The k=7 one needs ``_survey``'s empty-block tag: a survey that merges the
+# states it keeps apart miscounts it at cap 3 and at the default cap.
 EMPTY_RULE_CONFIGS = [
     ((18, 9, 17, 1, 36, 31), (7, 42, 50, 24, 10)),
     ((11, 10, 26, 141), (186, 33, 130)),
     ((1, 2, 3, 2, 2, 2), (5, 10, 10, 9, 3)),
+    ((50, 50, 3, 1, 3, 3, 50), (50, 50, 1, 50, 50, 2)),
 ]
 
 

@@ -130,7 +130,12 @@ def reference_accepts(spec, cfg):
     return spec.target == "all-valid" or label.matches(spec.target)
 
 
-def reference_sample_config(spec, rng, max_rejections):
+# The rejection sampler's draws per config it returns.  A region that is
+# empty at a small bound exhausts it after this many.
+MAX_REJECTIONS = 2_000
+
+
+def reference_sample_config(spec, rng, max_rejections=MAX_REJECTIONS):
     """The rejection sampler: one Fraction config per draw, until one is accepted."""
     k, den, bound = spec.k, spec.denominator, spec.bound
     for _ in range(max_rejections):
@@ -144,9 +149,6 @@ def reference_sample_config(spec, rng, max_rejections):
 
 # --- sampler: the rejection sampler's distribution --------------------------
 
-# Rejections allowed per draw.  A region that is empty at a small bound
-# exhausts both samplers after this many.
-MAX_REJECTIONS = 2_000
 # The rejection sampler's draws in all per region, where the region is known
 # not to be empty: k=6 BE at bound 2 keeps 1 in 2048 draws, ADCB at bound 50
 # about 1 in 670, and k=6 BD at bound 4 fewer still.
@@ -205,11 +207,11 @@ def _in_region(spec, cfg):
     return in_range and reference_accepts(spec, cfg)
 
 
-def _draws(sampler, spec, seed, count, max_rejections=MAX_REJECTIONS):
+def _draws(sampler, spec, seed, count):
     """``count`` draws from one generator, or None if the region ran dry."""
     rng = random.Random(seed)
     try:
-        return [sampler(spec, rng, max_rejections) for _ in range(count)]
+        return [sampler(spec, rng) for _ in range(count)]
     except RegionExhaustedError:
         return None
 
@@ -284,14 +286,14 @@ def test_all_valid_small_k_matches_reference():
             assert _homogeneous(ours, theirs)
 
 
-@pytest.mark.parametrize("max_rejections", [0, 1, 7, 300])
+@pytest.mark.parametrize("salt", [0, 1, 7, 300])
 @pytest.mark.parametrize("bound", [64, 255, 1000])
 @pytest.mark.parametrize("k", [4, 7, 8])
-def test_sampler_matches_reference_past_one_byte(k, bound, max_rejections, monkeypatch):
-    """Bounds at and above ``G``: each draw is in the region or the region
-    ran dry after ``max_rejections`` rejections; a table that pins its
-    region down rejects nothing up to ``G``.  At k=4 the draws follow the
-    rejection sampler's distribution."""
+def test_sampler_matches_reference_past_one_byte(k, bound, salt, monkeypatch):
+    """Bounds at and above ``G``, one generator seed per ``salt``: every
+    region yields a draw in it, and where a table pins its region down, the
+    draw passes its first label test.  At k=4 the draws follow the rejection
+    sampler's distribution."""
     labelled = []
     label_of = cases.label_of
 
@@ -303,18 +305,15 @@ def test_sampler_matches_reference_past_one_byte(k, bound, max_rejections, monke
     ours, theirs = [], []
     for index, region in enumerate(default_regions(k, bound)):
         spec = RegionSpec(k=k, target=region.target, bound=bound)
-        seed = 7919 * k + 31 * index + bound + max_rejections
+        seed = 7919 * k + 31 * index + bound + salt
         labelled.clear()
-        drawn = _draws(sample_config, spec, seed, 1, max_rejections)
-        assert len(labelled) <= max_rejections + 1, spec.name
+        drawn = _draws(sample_config, spec, seed, 1)
+        assert drawn is not None and _in_region(spec, drawn[0]), spec.name
         if _is_exact(spec):
-            assert len(labelled) <= 1, spec.name
-            assert drawn or bound > verify.G, spec.name
-        if drawn:
-            assert _in_region(spec, drawn[0]), spec.name
-        if k == 4 and max_rejections == 300:
+            assert len(labelled) == 1, spec.name
+        if k == 4:
             expected = _reference_draws(spec, seed, 12)
-            drawn = _draws(sample_config, spec, seed, len(expected), max_rejections)
+            drawn = _draws(sample_config, spec, seed, len(expected))
             assert drawn is not None, spec.name
             ours += [_halves(cfg, spec, index) for cfg in drawn]
             theirs += [_halves(cfg, spec, index) for cfg in expected]
@@ -340,16 +339,23 @@ def test_empty_table_raises_before_reading():
     assert rng.getstate() == state
 
 
-def test_zero_budget_samples_an_exact_region():
+def test_zero_budget_samples_an_exact_region(monkeypatch):
+    """An exact region needs no rejection budget: each draw passes its first
+    label test."""
+    labelled = []
+    label_of = cases.label_of
+    monkeypatch.setattr(cases, "label_of", lambda a, p: labelled.append(a) or label_of(a, p))
     spec = RegionSpec(k=4, target="AA", bound=12)
     rng = random.Random(4)
     for _ in range(50):
-        assert _in_region(spec, sample_config(spec, rng, max_rejections=0))
+        labelled.clear()
+        assert _in_region(spec, sample_config(spec, rng))
+        assert len(labelled) == 1
 
 
 def test_budget_is_capped_by_the_table(monkeypatch):
     """A region whose table holds few configs, all rejected by the label,
-    gives up after 64 draws per config in its table, not ``max_rejections``."""
+    gives up after 64 draws per config in its table."""
     calls = []
     label_of = cases.label_of
     monkeypatch.setattr(cases, "label_of", lambda a, p: calls.append(a) or label_of(a, p))

@@ -591,7 +591,7 @@ class TestSampleConfig:
         rng = random.Random(37)
         spec = RegionSpec(k=4, target="AA", bound=2)
         with pytest.raises(RegionExhaustedError):
-            sample_config(spec, rng, max_rejections=20_000)
+            sample_config(spec, rng)
 
     def test_all_valid_small_k(self):
         rng = random.Random(38)
@@ -702,7 +702,7 @@ class TestCampaign:
             RegionSpec(k=4, target="AA", bound=2),
             RegionSpec(k=4, target="AA", bound=12),
         )
-        report = campaign(regions, 2, rng_seed=2, max_rejections=5_000)
+        report = campaign(regions, 2, rng_seed=2)
         assert report.regions[0].error is not None
         assert report.regions[1].error is None
         assert report.regions[1].holds == 2
@@ -729,11 +729,11 @@ class TestCampaign:
         # those two attempts count as samples and as ties skipped, and no more
         decide, sample, draws = verify._decide, verify.sample_config, []
 
-        def runs_dry_at_fourth_draw(spec, rng, max_rejections):
+        def runs_dry_at_fourth_draw(spec, rng):
             draws.append(spec)
             if len(draws) == 4:
                 raise RegionExhaustedError("region ran dry")
-            return sample(spec, rng, max_rejections)
+            return sample(spec, rng)
 
         def ties_after_first_draw(cfg, oracle):
             cert, pairs = decide(cfg, oracle)
@@ -761,8 +761,8 @@ class TestCampaign:
         results = []
         for region_index, spec in enumerate(specs):
             args = (spec, region_index)
-            forward = [verify._slot(*args, slot, 3, True, 2_000) for slot in range(8)]
-            backward = [verify._slot(*args, slot, 3, True, 2_000) for slot in reversed(range(8))]
+            forward = [verify._slot(*args, slot, 3, True) for slot in range(8)]
+            backward = [verify._slot(*args, slot, 3, True) for slot in reversed(range(8))]
             assert forward == backward[::-1]
             results += forward
         assert any(tied for tied, _cert, _error in results)
@@ -777,7 +777,7 @@ class TestCampaign:
             RegionSpec(k=4, target="AA", bound=2),
         )
         results = [
-            verify._slot(spec, region_index, slot, 3, True, 2_000)
+            verify._slot(spec, region_index, slot, 3, True)
             for region_index, spec in enumerate(specs)
             for slot in range(8)
         ]
