@@ -186,16 +186,31 @@ def label_of(a, p) -> CaseLabel:
     return _label4(a, p) if len(a) == 4 else _label_k(a, p)
 
 
-def _region_labels(k: int) -> tuple[CaseLabel, ...]:
-    """Every label the classifier returns at this k, without params (plus
-    mirrored end variants); none below k=4."""
-    return _REGIONS4 if k == 4 else _REGIONS if k > 4 else ()
+@cache
+def _region_targets(k: int) -> tuple[str, ...]:
+    """Every label the classifier returns at this k, as text, without params
+    (plus mirrored end variants); "all-valid" below k=4."""
+    return tuple(map(str, _REGIONS4 if k == 4 else _REGIONS if k > 4 else ())) or ("all-valid",)
 
 
 @cache
-def _region_targets(k: int) -> tuple[str, ...]:
-    """``_region_labels`` as text; "all-valid" below k=4."""
-    return tuple(map(str, _region_labels(k))) or ("all-valid",)
+def _region(k: int, target: str) -> CaseLabel | None:
+    """The parsed ``target`` of a k-region, None for "all-valid"; a
+    ``ValueError`` for a target ``label_of`` never returns at this k."""
+    if target == "all-valid":
+        return None
+    label = CaseLabel.parse(target)  # fail fast on bad label syntax
+    if k < 4:
+        raise ValueError(f"labeled regions need k >= 4, got k={k}")
+    targets = _region_targets(k)
+    region = str(CaseLabel(label.tag, label.mirrored))
+    if region not in targets:
+        raise ValueError(f"no k={k} region {target}; use {', '.join(targets)}")
+    params = _region_params(k, label)
+    if label.param is not None and label.param not in params:
+        allowed = f"{params[0]}..{params[-1]}" if params else "none"
+        raise ValueError(f"no k={k} region {target}; params of {region}: {allowed}")
+    return label
 
 
 def _region_params(k: int, label: CaseLabel) -> range:

@@ -71,12 +71,19 @@ def _resolve_output(path_text: str) -> Path:
     return Path(base) / path if base else path
 
 
-def _check_writable(path: Path) -> None:
-    """Fail before any work if ``path`` cannot be a file: it is a directory,
-    or lies under a regular file (``mkdir`` raises)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.is_dir():
-        raise CliError(f"{path} is a directory")
+def _check_writable(*paths: Path | None) -> None:
+    """Fail before any work if one of ``paths`` (None: not given) cannot be
+    a file: it is a directory, or lies under a regular file.  Only once every
+    path passes are their parents created."""
+    paths = [path for path in paths if path is not None]
+    for path in paths:
+        if path.is_dir():
+            raise CliError(f"{path} is a directory")
+        folder = next(folder for folder in path.parents if folder.exists())
+        if not folder.is_dir():
+            raise CliError(f"{folder} is not a directory")
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _emit_json(data) -> None:
@@ -232,15 +239,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         regions = tuple(
             verify.RegionSpec(k=args.k, target=target, bound=args.bound) for target in targets
         )
-        labels = [spec._label for spec in regions]  # None only for "all-valid"
-        for i, spec in enumerate(regions):
-            if spec._label in labels[:i]:
+        canonical = [spec.target for spec in regions]
+        for i, target in enumerate(canonical):
+            if target in canonical[:i]:
                 raise CliError(f"region {targets[i]} is given more than once")
     if args.samples < 1:
         raise CliError("--samples must be >= 1")
-    for path in (out_path, csv_path):
-        if path is not None:
-            _check_writable(path)
+    _check_writable(out_path, csv_path)
     report = verify.campaign(
         regions,
         samples_per_region=args.samples,
@@ -284,8 +289,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise CliError("certify needs a config (or --check PATH)")
     cfg = _load_config(args.config)
     out_path = _resolve_output(args.output) if args.output else None
-    if out_path is not None:
-        _check_writable(out_path)
+    _check_writable(out_path)
     cert = verify.certify_config(cfg, oracle=True, include_traces=True)
     text = cert.to_json()
     if out_path is not None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?\Z")
@@ -98,21 +98,14 @@ class DistanceConfig:
         object.__setattr__(self, "_ints", (nums[: len(a)], nums[len(a) :], den))
 
     @classmethod
-    def _of_ints(cls, a: Sequence[int], p: Sequence[int], den: int) -> DistanceConfig:
-        """The config a[j]/den, p[j]/den from positive numerators; unchecked.
-
-        Dividing the numerators and den by their one gcd gives the view
-        ``_over_lcm`` would."""
-        g = gcd(den, *a, *p)
-        if g == 1:
-            a, p = tuple(a), tuple(p)
-        else:
-            a, p, den = tuple(x // g for x in a), tuple(x // g for x in p), den // g
+    def _of_ints(cls, a: Sequence[int], p: Sequence[int]) -> DistanceConfig:
+        """The config of positive integer entries a, p; unchecked.  Its
+        integer view is (a, p, 1), as ``_over_lcm`` would give."""
+        a, p = tuple(a), tuple(p)
         cfg = object.__new__(cls)
-        rational = Fraction if den == 1 else lambda x: Fraction(x, den)
-        object.__setattr__(cfg, "a", tuple(map(rational, a)))
-        object.__setattr__(cfg, "p", tuple(map(rational, p)))
-        object.__setattr__(cfg, "_ints", (a, p, den))
+        object.__setattr__(cfg, "a", tuple(map(Fraction, a)))
+        object.__setattr__(cfg, "p", tuple(map(Fraction, p)))
+        object.__setattr__(cfg, "_ints", (a, p, 1))
         return cfg
 
     @property

@@ -616,8 +616,7 @@ def recheck_certificate(data: dict) -> list[str]:
 @dataclass(frozen=True)
 class RegionSpec:
     """What to sample: k, a target case label (or "all-valid"), and the
-    integer coefficient bound.  Distances are drawn from {1..bound} and
-    divided by ``denominator``.
+    bound on the integer entries, which are drawn from {1..bound}.
 
     ``_label``, the parsed target or None for "all-valid", is not a field.
     """
@@ -625,44 +624,17 @@ class RegionSpec:
     k: int
     target: str = "all-valid"
     bound: int = 50
-    denominator: int = 1
 
     def __post_init__(self):
-        self._check_sizes()
-        label = None
-        if self.target != "all-valid":
-            label = CaseLabel.parse(self.target)  # fail fast on bad label syntax
-            if self.k < 4:
-                raise ValueError(f"labeled regions need k >= 4, got k={self.k}")
-            targets = cases._region_targets(self.k)
-            region = str(CaseLabel(label.tag, label.mirrored))
-            if region not in targets:
-                raise ValueError(f"no k={self.k} region {self.target}; use {', '.join(targets)}")
-            params = cases._region_params(self.k, label)
-            if label.param is not None and label.param not in params:
-                allowed = f"{params[0]}..{params[-1]}" if params else "none"
-                raise ValueError(f"no k={self.k} region {self.target}; params of {region}: {allowed}")
-        object.__setattr__(self, "_label", label)
-        object.__setattr__(self, "target", str(label) if label else self.target)  # canonical form
-
-    @classmethod
-    def _of_region(cls, k: int, label: CaseLabel | None, bound: int) -> RegionSpec:
-        """The spec of a region that ``cases`` lists at this k (None: all-valid), unparsed."""
-        spec = object.__new__(cls)
-        target = str(label) if label else "all-valid"
-        vars(spec).update(k=k, target=target, bound=bound, denominator=1, _label=label)
-        spec._check_sizes()
-        return spec
-
-    def _check_sizes(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.bound < 2:
             raise ValueError("bound must be >= 2")
         if self.bound > _MAX_BOUND:
             raise ValueError(f"bound must be <= {_MAX_BOUND} (entries stay within one 32-bit word)")
-        if self.denominator < 1:
-            raise ValueError("denominator must be >= 1")
+        label = cases._region(self.k, self.target)
+        object.__setattr__(self, "_label", label)
+        object.__setattr__(self, "target", str(label) if label else self.target)  # canonical form
 
     @property
     def name(self) -> str:
@@ -722,9 +694,8 @@ def _region_table(k: int, target: CaseLabel | None, bound: int) -> tuple:
 
 def sample_config(spec: RegionSpec, rng: random.Random) -> DistanceConfig:
     """A config drawn uniformly from the region's valid, predicate-tie-free
-    configs with numerators in 1..bound over the spec's denominator: the
-    distribution of drawing every numerator uniformly until a draw lands in
-    the region.
+    configs with integer entries in 1..bound: the distribution of drawing
+    every entry uniformly until a draw lands in the region.
 
     Each gap's triple (a_j, p_j, a_{j+1}) must take one of the shapes
     ``cases.gap_shapes`` gives the region.  For fixed a_j and a_{j+1}, each
@@ -785,7 +756,7 @@ def sample_config(spec: RegionSpec, rng: random.Random) -> DistanceConfig:
                 continue
             if target is not None and not label.matches(target):
                 continue
-        return DistanceConfig._of_ints(a, p, spec.denominator)
+        return DistanceConfig._of_ints(a, p)
     raise RegionExhaustedError(
         f"no config for region {spec.name} after {budget} rejected draws at bound {bound};"
         " raise the bound"
@@ -821,7 +792,7 @@ class RegionResult:
             "k": self.spec.k,
             "target": self.spec.target,
             "bound": self.spec.bound,
-            "denominator": self.spec.denominator,
+            "denominator": 1,  # the entries are integers; kept for the report format
             "samples": self.samples,
             "holds": self.holds,
             "violation_count": len(self.violations),
@@ -952,4 +923,4 @@ def campaign(
 
 def default_regions(k: int, bound: int = 50) -> tuple[RegionSpec, ...]:
     """Every case region defined at this k (plus mirrored end variants)."""
-    return tuple(RegionSpec._of_region(k, label, bound) for label in cases._region_labels(k) or (None,))
+    return tuple(RegionSpec(k, target, bound) for target in cases._region_targets(k))

@@ -137,6 +137,14 @@ class TestSimulateCommand:
         assert code == 2
         assert "seeding" in err
 
+    def test_iteration_cap_exceeded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "a=1,3,3,1; p=2,2,2", "--seeding", "1,2,3,4", "--cap", "1"
+        )
+        assert code == 0
+        assert out.endswith("\noutcome: iteration cap 1 exceeded\n")
+        assert err == ""
+
 
 class TestProbabilityCommand:
     def test_k4(self, capsys):
@@ -315,9 +323,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "output, csv",
-        [(".", None), ("r.json", "."), ("plain/r.json", None), ("r.json", "plain/r.csv")],
+        [(".", None), ("r.json", "."), ("plain/r.json", None), ("r.json", "plain/r.csv"),
+         ("new/r.json", "."), ("new/r.json", "plain/r.csv")],
         ids=["output_is_a_directory", "csv_is_a_directory", "output_under_a_file",
-             "csv_under_a_file"],
+             "csv_under_a_file", "csv_is_a_directory_output_in_a_new_one",
+             "csv_under_a_file_output_in_a_new_one"],
     )
     def test_unwritable_path_fails_before_sampling(self, capsys, tmp_path, monkeypatch, output, csv):
         def refuse(*args, **kwargs):
@@ -362,6 +372,16 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert err == "error: --samples must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_regions_given(self, capsys, tmp_path):
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "4", "--regions", ",", "--samples", "1", "--output", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no regions given\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
@@ -486,6 +506,16 @@ class TestCertifyCommand:
         code, out, _ = run_cli(capsys, "certify", "--check", str(cert_path))
         assert code == 0
         assert "checks out" in out
+
+    def test_stdout_holds_the_output_file_bytes(self, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        code, out, _ = run_cli(capsys, "certify", "a=1,3,3,1; p=2,2,2", "--output", str(cert_path))
+        assert code == 0
+        assert out == f"certificate written to {cert_path}\n"
+        code, out, err = run_cli(capsys, "certify", "a=1,3,3,1; p=2,2,2")
+        assert code == 0
+        assert err == ""
+        assert out == cert_path.read_text()
 
     @pytest.mark.parametrize(
         "text, verdict, reason, exit_code",

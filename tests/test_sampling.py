@@ -137,10 +137,10 @@ MAX_REJECTIONS = 2_000
 
 def reference_sample_config(spec, rng, max_rejections=MAX_REJECTIONS):
     """The rejection sampler: one Fraction config per draw, until one is accepted."""
-    k, den, bound = spec.k, spec.denominator, spec.bound
+    k, bound = spec.k, spec.bound
     for _ in range(max_rejections):
-        a = tuple(Fraction(rng.randint(1, bound), den) for _ in range(k))
-        p = tuple(Fraction(rng.randint(1, bound), den) for _ in range(k - 1))
+        a = tuple(Fraction(rng.randint(1, bound)) for _ in range(k))
+        p = tuple(Fraction(rng.randint(1, bound)) for _ in range(k - 1))
         cfg = DistanceConfig(a, p)
         if reference_accepts(spec, cfg):
             return cfg
@@ -202,8 +202,7 @@ def _uniform_fit(draws, support):
 
 def _in_region(spec, cfg):
     """``cfg`` is one the rejection sampler could keep for ``spec``."""
-    nums = [x * spec.denominator for x in cfg.a + cfg.p]
-    in_range = all(x.denominator == 1 and 1 <= x <= spec.bound for x in nums)
+    in_range = all(x.denominator == 1 and 1 <= x <= spec.bound for x in cfg.a + cfg.p)
     return in_range and reference_accepts(spec, cfg)
 
 
@@ -234,19 +233,19 @@ def _halves(cfg, spec, index):
     """A coarse key of a draw: its region, and which half of the bound its
     first a and first p fall in."""
     first = (cfg.a[0], cfg.p[0]) if cfg.p else (cfg.a[0],)
-    return (index,) + tuple(2 * x * spec.denominator > spec.bound for x in first)
+    return (index,) + tuple(2 * x > spec.bound for x in first)
 
 
-@pytest.mark.parametrize("denominator", [1, 5])
+@pytest.mark.parametrize("salt", [1, 5])
 @pytest.mark.parametrize("bound", [2, 4, 12, 50])
 @pytest.mark.parametrize("k", [4, 5, 6])
-def test_sampler_matches_reference(k, bound, denominator):
+def test_sampler_matches_reference(k, bound, salt):
     """Both samplers run dry in the same regions, keep only configs the
-    references accept, and agree in distribution."""
+    references accept, and agree in distribution; one generator seed per
+    ``salt``."""
     exhausted, ours, theirs = 0, [], []
-    for index, region in enumerate(default_regions(k, bound)):
-        spec = RegionSpec(k=k, target=region.target, bound=bound, denominator=denominator)
-        seed = 1000 * k + 10 * index + bound + denominator
+    for index, spec in enumerate(default_regions(k, bound)):
+        seed = 1000 * k + 10 * index + bound + salt
         drawn = _draws(sample_config, spec, seed, 8)
         if drawn is None:
             assert not _reference_draws(spec, seed, 1, MAX_REJECTIONS), spec.name
@@ -267,17 +266,17 @@ def test_sampler_matches_reference(k, bound, denominator):
 
 
 def _coordinates_agree(spec, ours, theirs, bins):
-    """Each entry's numerator, cut into ``bins`` equal bins of 1..bound, has
-    the same distribution in both samples."""
+    """Each entry, cut into ``bins`` equal bins of 1..bound, has the same
+    distribution in both samples."""
     def column(cfgs, j):
-        return [((cfg.a + cfg.p)[j] * spec.denominator - 1) * bins // spec.bound for cfg in cfgs]
+        return [((cfg.a + cfg.p)[j] - 1) * bins // spec.bound for cfg in cfgs]
 
     return all(_homogeneous(column(ours, j), column(theirs, j)) for j in range(2 * spec.k - 1))
 
 
 def test_all_valid_small_k_matches_reference():
     for k in (1, 2, 3):
-        spec = RegionSpec(k=k, bound=6, denominator=3)
+        spec = RegionSpec(k=k, bound=6)
         ours = _draws(sample_config, spec, k, 600)
         theirs = _draws(reference_sample_config, spec, k, 600)
         assert all(_in_region(spec, cfg) for cfg in ours + theirs)
@@ -323,7 +322,7 @@ def test_sampler_matches_reference_past_one_byte(k, bound, salt, monkeypatch):
 @pytest.mark.parametrize("bound", [2**31, 2**32 - 1])
 def test_sampler_matches_reference_at_full_word_bounds(bound):
     for k in (1, 2, 4):
-        spec = RegionSpec(k=k, bound=bound, denominator=7)
+        spec = RegionSpec(k=k, bound=bound)
         ours = _draws(sample_config, spec, k, 200)
         theirs = _draws(reference_sample_config, spec, k, 200)
         assert all(_in_region(spec, cfg) for cfg in ours + theirs)
@@ -534,7 +533,7 @@ def test_k4_tables_match_reference_in_buckets(few_buckets):
 
 
 def _accepted(spec):
-    """Every numerator tuple a + p the reference accepts, by enumeration."""
+    """Every entry tuple a + p the reference accepts, by enumeration."""
     k, b = spec.k, spec.bound
     target = spec._label
     accepted = set()
@@ -545,8 +544,8 @@ def _accepted(spec):
     return accepted
 
 
-def _numerators(spec, cfg):
-    return tuple(int(x * spec.denominator) for x in cfg.a + cfg.p)
+def _entries(cfg):
+    return tuple(map(int, cfg.a + cfg.p))
 
 
 @pytest.mark.parametrize(
@@ -558,10 +557,10 @@ def _numerators(spec, cfg):
     ],
 )
 def test_sampler_is_uniform_on_small_regions(k, target, bound):
-    spec = RegionSpec(k=k, target=target, bound=bound, denominator=2)
+    spec = RegionSpec(k=k, target=target, bound=bound)
     support = _accepted(spec)
     rng = random.Random(11)
-    draws = [_numerators(spec, sample_config(spec, rng)) for _ in range(30 * len(support))]
+    draws = [_entries(sample_config(spec, rng)) for _ in range(30 * len(support))]
     assert _uniform_fit(draws, support)
 
 
@@ -569,7 +568,7 @@ def test_sampler_is_uniform_in_buckets(few_buckets):
     spec = RegionSpec(k=4, target="ADB", bound=5)  # buckets 1, 2-3, 4-5
     support = _accepted(spec)
     rng = random.Random(12)
-    draws = [_numerators(spec, sample_config(spec, rng)) for _ in range(30 * len(support))]
+    draws = [_entries(sample_config(spec, rng)) for _ in range(30 * len(support))]
     assert _uniform_fit(draws, support)
 
 

@@ -62,6 +62,11 @@ class TestSurvey:
         assert survey.total == 2
         assert survey.probability == 1
 
+    def test_capped_runs_leave_the_probability_undefined(self):
+        survey = survey_seedings(parse_config("a=1,3,3,1; p=2,2,2"), cap=1)
+        assert survey.cap_count == 53
+        assert survey.probability is None
+
     def test_witness_behaviour_matches_runs(self):
         cfg = DistanceConfig((1, 1, 1, 1), (3, 3, 3))
         engine = LineEngine(embed(cfg))
@@ -636,12 +641,6 @@ class TestSampleConfig:
                 else:
                     assert label in returned, label
 
-    def test_denominator_scales_entries(self):
-        rng = random.Random(39)
-        spec = RegionSpec(k=4, target="AA", bound=12, denominator=5)
-        cfg = sample_config(spec, rng)
-        assert all(x <= Fraction(12, 5) for x in cfg.a)
-
     def test_deterministic_given_rng(self):
         spec = RegionSpec(k=4, target="ADD", bound=12)
         a = sample_config(spec, random.Random(40))
@@ -689,6 +688,10 @@ class TestCampaign:
         report = campaign((), 5, rng_seed=0)
         assert report.regions == ()
         assert report.violation_count == 0
+
+    def test_samples_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^samples_per_region must be >= 1$"):
+            campaign(default_regions(4), 0, rng_seed=0)
 
     def test_quota_of_decided_certificates(self):
         regions = (RegionSpec(k=4, target="ADD", bound=12),)
@@ -879,7 +882,7 @@ class TestDefaultRegions:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
     def test_specs_equal_typed_ones(self, k):
-        # default_regions builds its specs from the labels cases lists, unparsed
+        # default_regions builds its specs from the targets cases lists
         for bound in (2, 12, 50):
             typed = tuple(RegionSpec(k=k, target=t, bound=bound) for t in cases._region_targets(k))
             regions = default_regions(k, bound)
