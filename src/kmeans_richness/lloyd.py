@@ -240,15 +240,17 @@ def _iterate(
     seed_indices: Sequence[int],
     cap: int,
     history: list[_RawStep] | None = None,
+    resolved: Sequence[tuple[int, ...]] = (),
 ) -> tuple[str, tuple[int, ...] | _Tie | None, bool, int]:
-    """The one strict Lloyd loop, from the seeded centroids.
+    """The one Lloyd loop, from the seeded centroids.
 
     Returns (kind, detail, empty rule used, steps).  ``detail`` is the final
     partition's cuts when kind is "converged", the tie (step, 1-based point,
     (j, j+1)) when it is "tie", and None on "cap-exceeded".  Clusters on the
     line stay contiguous, so each step's partition is its cut tuple; labels
     are built only for ``history`` (when a list, each step's (centroids,
-    empty mask, labels) is appended to it).
+    empty mask, labels) is appended to it).  The i-th tied step takes
+    ``resolved[i]`` as its cuts; a tied step past ``resolved`` ends the run.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -257,14 +259,18 @@ def _iterate(
     empty: tuple[bool, ...] = (False,) * len(seed_indices)
     empty_seen = False
     prev = None
+    ties = 0
     for step in range(cap):
         cuts = tuple(_boundaries(xs, cents))
         if cuts and min(cuts) < 0:
-            if history is not None:
-                history.append((cents, empty, None))
-            # boundaries strictly increase, so the lowest tied one holds the first tied point
-            j = next(j for j, cut in enumerate(cuts) if cut < 0)
-            return "tie", (step, ~cuts[j] + 1, (j, j + 1)), empty_seen, step + 1
+            if ties == len(resolved):
+                if history is not None:
+                    history.append((cents, empty, None))
+                # boundaries strictly increase, so the lowest tied one holds the first tied point
+                j = next(j for j, cut in enumerate(cuts) if cut < 0)
+                return "tie", (step, ~cuts[j] + 1, (j, j + 1)), empty_seen, step + 1
+            cuts = resolved[ties]
+            ties += 1
         if history is not None:
             history.append((cents, empty, _labels(cuts, n)))
         if cuts == prev:
@@ -297,10 +303,9 @@ class LineEngine:
         if seeding.indices[-1] > len(self._xs):
             raise ValueError(f"seed index {seeding.indices[-1]} out of range 1..{len(self._xs)}")
 
-    def run_strict(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> LloydTrace:
-        self._check_seeding(seeding)
+    def _trace(self, seeding: Seeding, cap: int, resolved: Sequence[tuple[int, ...]] = ()) -> LloydTrace:
         steps: list[_RawStep] = []
-        kind, detail, _empty, _steps = _iterate(self._xs, self._prefix, seeding.indices, cap, steps)
+        kind, detail, *_ = _iterate(self._xs, self._prefix, seeding.indices, cap, steps, resolved)
         outcome: Outcome
         if kind == "converged":
             outcome = Converged(Partition(steps[-1][2]))
@@ -309,6 +314,10 @@ class LineEngine:
         else:
             outcome = IterationCapExceeded(cap)
         return LloydTrace._of_history(seeding, steps, self._den, outcome)
+
+    def run_strict(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> LloydTrace:
+        self._check_seeding(seeding)
+        return self._trace(seeding, cap)
 
     def run_lean(
         self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
@@ -354,38 +363,26 @@ class LineEngine:
         return False if empty else tuple(nxt)
 
     def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
+        """One trace per tie resolution, depth first: each run replays
+        ``_iterate`` with the cuts chosen for its earlier tied steps."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
-        xs, prefix, n, den = self._xs, self._prefix, len(self._xs), self._den
         results: list[LloydTrace] = []
-
-        def explore(
-            cents: list[tuple[int, int]],
-            empty: tuple[bool, ...],
-            steps: list[_RawStep],
-            prev: tuple[int, ...] | None,
-            depth: int,
-        ) -> None:
-            if depth == cap:
-                results.append(LloydTrace._of_history(seeding, steps, den, IterationCapExceeded(cap)))
-                return
-            # A point on a midpoint joins the left (lower-id) cluster first.
-            options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in _boundaries(xs, cents)]
-            for cuts in product(*options):
-                if len(results) >= DEFAULT_BRANCH_LIMIT:
-                    raise BranchLimitError(f"more than {DEFAULT_BRANCH_LIMIT} branch traces")
-                labels = _labels(cuts, n)
-                branch_steps = steps + [(cents, empty, labels)]
-                if cuts == prev:
-                    outcome = Converged(Partition(labels))
-                    results.append(LloydTrace._of_history(seeding, branch_steps, den, outcome))
-                    continue
-                next_cents, next_empty = _means(prefix, cuts, cents)
-                explore(next_cents, next_empty, branch_steps, cuts, depth + 1)
-
-        start = [(xs[i - 1], 1) for i in seeding.indices]
-        explore(start, (False,) * seeding.k, [], None, 0)
+        pending: list[tuple[tuple[int, ...], ...]] = [()]
+        while pending:
+            if len(results) >= DEFAULT_BRANCH_LIMIT:
+                raise BranchLimitError(f"more than {DEFAULT_BRANCH_LIMIT} branch traces")
+            resolved = pending.pop()
+            trace = self._trace(seeding, cap, resolved)
+            if not isinstance(trace.outcome, TieEncountered):
+                results.append(trace)
+                continue
+            # A point on a midpoint joins the left (lower-id) cluster first;
+            # pushed in reverse, that resolution runs next.
+            cents = trace._history[-1][0]
+            options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in _boundaries(self._xs, cents)]
+            pending += [(*resolved, cuts) for cuts in reversed([*product(*options)])]
         return tuple(results)
 
 

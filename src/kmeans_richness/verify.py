@@ -8,9 +8,7 @@ machine-checkable certificates and aggregate reports.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import random
 from bisect import bisect_right
@@ -831,13 +829,11 @@ class Report:
         return model._json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["region", "samples", "holds", "violations", "ties", "min_probability", "max_probability"]
-        )
+        # no cell needs quoting: each holds a region name, an int or a fraction
+        header = ["region", "samples", "holds", "violations", "ties", "min_probability", "max_probability"]
+        rows = [header]
         for r in self.regions:
-            writer.writerow(
+            rows.append(
                 [
                     r.spec.name,
                     r.samples,
@@ -848,7 +844,7 @@ class Report:
                     str(r.max_probability[0]) if r.max_probability else "",
                 ]
             )
-        return buffer.getvalue()
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _derived_rng(root_seed: int, region_index: int, slot: int, attempt: int) -> random.Random:

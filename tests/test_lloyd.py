@@ -1,8 +1,10 @@
 """Lloyd iteration: assignment, updates, the table step, traces, invariants."""
 
+import inspect
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -473,6 +475,21 @@ class TestBranchReference:
                 continue
             assert branch_digests(run(points, seeding, TiePolicy.BRANCH)) == expected
         assert 0 < raised < 100
+
+
+    def test_long_run_needs_no_recursion(self):
+        # gaps 6i+4: the strict run converges after 131 tie-free steps
+        points = PointSet(tuple(3 * i * i + i for i in range(400)))
+        seeding = Seeding(tuple(range(1, 201)))
+        strict = run(points, seeding)
+        assert strict.converged and len(strict.steps) == 131
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            traces = run(points, seeding, TiePolicy.BRANCH)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert traces == (strict,)
 
 
 class TestCost:

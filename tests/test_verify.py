@@ -1,7 +1,9 @@
 """Certification, exhaustive search, probabilities, sampling, campaigns."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import pickle
@@ -863,6 +865,24 @@ class TestCampaign:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "region,samples,holds,violations,ties,min_probability,max_probability"
         assert lines[1].startswith("k=4:AA,")
+
+    def test_csv_matches_csv_writer(self):
+        # a param region with empty probability cells (no oracle), and a k=2 region
+        regions = (RegionSpec(k=5, target="BC(2)~", bound=12), RegionSpec(k=2, target="all-valid", bound=12))
+        report = campaign(regions, 2, rng_seed=3, oracle=False)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["region", "samples", "holds", "violations", "ties", "min_probability", "max_probability"])
+        for r in report.regions:
+            low, high = r.min_probability, r.max_probability
+            writer.writerow(
+                [r.spec.name, r.samples, r.holds, len(r.violations), r.ties_skipped,
+                 str(low[0]) if low else "", str(high[0]) if high else ""]
+            )
+        assert report.to_csv() == buffer.getvalue()
+        assert report.to_csv().splitlines()[1:] == [
+            "k=5:BC(2)~,2,2,0,0,,", "k=2:all-valid,2,2,0,0,1/2,4/5",
+        ]
 
 
 class TestDefaultRegions:
