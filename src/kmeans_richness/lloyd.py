@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import DistanceConfig, Partition, PointSet, Seeding, _int_positions, canonical_labels
 
@@ -232,6 +232,8 @@ def _labels(cuts: Sequence[int], n: int) -> tuple[int, ...]:
 
 _RawStep = tuple[list[tuple[int, int]], tuple[bool, ...], tuple[int, ...] | None]
 _Tie = tuple[int, int, tuple[int, int]]
+# a run at a step: (step, centroids, empty mask, previous cuts, empty rule used, that step's cuts)
+_State = tuple[int, list[tuple[int, int]], tuple[bool, ...], tuple[int, ...] | None, bool, tuple[int, ...]]
 
 
 def _iterate(
@@ -240,8 +242,8 @@ def _iterate(
     seed_indices: Sequence[int],
     cap: int,
     history: list[_RawStep] | None = None,
-    resolved: Sequence[tuple[int, ...]] = (),
-) -> tuple[str, tuple[int, ...] | _Tie | None, bool, int]:
+    resume: _State | tuple[()] | None = None,
+) -> tuple[str, tuple[int, ...] | _Tie | _State | None, bool, int]:
     """The one Lloyd loop, from the seeded centroids.
 
     Returns (kind, detail, empty rule used, steps).  ``detail`` is the final
@@ -249,28 +251,27 @@ def _iterate(
     (j, j+1)) when it is "tie", and None on "cap-exceeded".  Clusters on the
     line stay contiguous, so each step's partition is its cut tuple; labels
     are built only for ``history`` (when a list, each step's (centroids,
-    empty mask, labels) is appended to it).  The i-th tied step takes
-    ``resolved[i]`` as its cuts; a tied step past ``resolved`` ends the run.
+    empty mask, labels) is appended to it).  Branch mode passes ``resume``,
+    ``()`` or a ``_State`` to go on from; a tie then returns its ``_State``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = len(xs)
-    cents: list[tuple[int, int]] = [(xs[i - 1], 1) for i in seed_indices]
-    empty: tuple[bool, ...] = (False,) * len(seed_indices)
-    empty_seen = False
-    prev = None
-    ties = 0
-    for step in range(cap):
+    if resume:
+        first, cents, empty, prev, empty_seen, cuts = resume
+    else:
+        cents = [(xs[i - 1], 1) for i in seed_indices]
+        first, empty, prev, empty_seen = 0, (False,) * len(seed_indices), None, False
         cuts = tuple(_boundaries(xs, cents))
+    for step in range(first, cap):
         if cuts and min(cuts) < 0:
-            if ties == len(resolved):
-                if history is not None:
-                    history.append((cents, empty, None))
-                # boundaries strictly increase, so the lowest tied one holds the first tied point
-                j = next(j for j, cut in enumerate(cuts) if cut < 0)
-                return "tie", (step, ~cuts[j] + 1, (j, j + 1)), empty_seen, step + 1
-            cuts = resolved[ties]
-            ties += 1
+            if resume is not None:
+                return "tie", (step, cents, empty, prev, empty_seen, cuts), empty_seen, step + 1
+            if history is not None:
+                history.append((cents, empty, None))
+            # boundaries strictly increase, so the lowest tied one holds the first tied point
+            j = next(j for j, cut in enumerate(cuts) if cut < 0)
+            return "tie", (step, ~cuts[j] + 1, (j, j + 1)), empty_seen, step + 1
         if history is not None:
             history.append((cents, empty, _labels(cuts, n)))
         if cuts == prev:
@@ -279,6 +280,7 @@ def _iterate(
         cents, empty = _means(prefix, cuts, cents)
         if not empty_seen and any(empty):
             empty_seen = True
+        cuts = tuple(_boundaries(xs, cents))
     return "cap-exceeded", None, empty_seen, cap
 
 
@@ -303,10 +305,7 @@ class LineEngine:
         if seeding.indices[-1] > len(self._xs):
             raise ValueError(f"seed index {seeding.indices[-1]} out of range 1..{len(self._xs)}")
 
-    def _trace(self, seeding: Seeding, cap: int, resolved: Sequence[tuple[int, ...]] = ()) -> LloydTrace:
-        steps: list[_RawStep] = []
-        kind, detail, *_ = _iterate(self._xs, self._prefix, seeding.indices, cap, steps, resolved)
-        outcome: Outcome
+    def _trace(self, seeding: Seeding, cap: int, steps: list[_RawStep], kind: str, detail) -> LloydTrace:
         if kind == "converged":
             outcome = Converged(Partition(steps[-1][2]))
         elif kind == "tie":
@@ -317,7 +316,9 @@ class LineEngine:
 
     def run_strict(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> LloydTrace:
         self._check_seeding(seeding)
-        return self._trace(seeding, cap)
+        steps: list[_RawStep] = []
+        kind, detail, *_ = _iterate(self._xs, self._prefix, seeding.indices, cap, steps)
+        return self._trace(seeding, cap, steps, kind, detail)
 
     def run_lean(
         self, seed_indices: tuple[int, ...], cap: int = DEFAULT_CAP
@@ -363,27 +364,28 @@ class LineEngine:
         return False if empty else tuple(nxt)
 
     def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
-        """One trace per tie resolution, depth first: each run replays
-        ``_iterate`` with the cuts chosen for its earlier tied steps."""
+        """One trace per tie resolution, depth first: ``pending`` holds each tied
+        step on the path as (history before it, its state, resolutions left)."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
         results: list[LloydTrace] = []
-        pending: list[tuple[tuple[int, ...], ...]] = [()]
-        while pending:
+        pending: list[tuple[list[_RawStep], tuple, Iterator[tuple[int, ...]]]] = []
+        history, resume = [], ()
+        while True:
+            kind, detail, *_ = _iterate(self._xs, self._prefix, seeding.indices, cap, history, resume)
+            if kind != "tie":
+                results.append(self._trace(seeding, cap, history, kind, detail))
+            else:  # a point on a midpoint joins the left (lower-id) cluster first
+                options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in detail[5]]
+                pending.append((history, detail[:5], product(*options)))
+            while pending and (cuts := next(pending[-1][2], None)) is None:
+                pending.pop()
+            if not pending:
+                return tuple(results)
             if len(results) >= DEFAULT_BRANCH_LIMIT:
                 raise BranchLimitError(f"more than {DEFAULT_BRANCH_LIMIT} branch traces")
-            resolved = pending.pop()
-            trace = self._trace(seeding, cap, resolved)
-            if not isinstance(trace.outcome, TieEncountered):
-                results.append(trace)
-                continue
-            # A point on a midpoint joins the left (lower-id) cluster first;
-            # pushed in reverse, that resolution runs next.
-            cents = trace._history[-1][0]
-            options = [(cut,) if cut >= 0 else (~cut + 1, ~cut) for cut in _boundaries(self._xs, cents)]
-            pending += [(*resolved, cuts) for cuts in reversed([*product(*options)])]
-        return tuple(results)
+            history, resume = pending[-1][0][:], (*pending[-1][1], cuts)
 
 
 # --- public operations --------------------------------------------------------

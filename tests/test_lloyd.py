@@ -476,6 +476,21 @@ class TestBranchReference:
             assert branch_digests(run(points, seeding, TiePolicy.BRANCH)) == expected
         assert 0 < raised < 100
 
+    def test_many_ties_in_one_step_reach_the_limit_lazily(self, monkeypatch):
+        # seeds on alternate points of 0..59: all 29 midpoints lie on points at step 0,
+        # so that step alone has 2**29 resolutions
+        drawn = 0
+
+        def counted_product(*options):
+            nonlocal drawn
+            for cuts in itertools.product(*options):
+                drawn += 1
+                assert drawn <= 2 * lloyd.DEFAULT_BRANCH_LIMIT, "resolutions drawn past the limit"
+                yield cuts
+
+        monkeypatch.setattr(lloyd, "product", counted_product)
+        with pytest.raises(BranchLimitError):
+            run(PointSet(tuple(range(60))), Seeding(tuple(range(1, 60, 2))), TiePolicy.BRANCH)
 
     def test_long_run_needs_no_recursion(self):
         # gaps 6i+4: the strict run converges after 131 tie-free steps
