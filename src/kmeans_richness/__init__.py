@@ -9,7 +9,6 @@ from .model import (
     Partition,
     PointSet,
     Seeding,
-    ValidityReport,
     config_from_dict,
     config_to_dict,
     embed,
@@ -45,7 +44,6 @@ from .lloyd import (
 )
 from .cases import (
     UNCLASSIFIED,
-    AdversarialPlan,
     CaseLabel,
     ClassificationTieError,
     PlanSemantics,

@@ -72,22 +72,19 @@ def _resolve_output(path_text: str) -> Path:
 
 
 def _check_writable(*paths: Path | None) -> None:
-    """Fail before any work if one of ``paths`` (None: not given) cannot be
-    a file: it is a directory, or lies under a regular file.  Only once every
-    path passes are their parents created."""
-    paths = [path for path in paths if path is not None]
+    """Fail before any work if a given path (None: not given) is a directory,
+    or if its nearest existing folder is a regular file or is not writable.
+    Creates nothing: the step that writes an output makes its folder."""
     for path in paths:
+        if path is None:
+            continue
         if path.is_dir():
             raise CliError(f"{path} is a directory")
         folder = next(folder for folder in path.parents if folder.exists())
         if not folder.is_dir():
             raise CliError(f"{folder} is not a directory")
-    for path in paths:
-        path.parent.mkdir(parents=True, exist_ok=True)
-
-
-def _emit_json(data) -> None:
-    print(model._json_text(data))
+        if not os.access(folder, os.W_OK):
+            raise CliError(f"{folder} is not writable")
 
 
 def _plan_text(plan: cases.AdversarialPlan) -> str:
@@ -155,7 +152,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "names": list(plan.names),
             },
         }
-        _emit_json(data)
+        print(model._json_text(data))
     else:
         if plan is None:
             print(f"{label}; plan: none (exhaustive search applies)")
@@ -168,13 +165,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     points = model.embed(cfg)
     seeding = _parse_seeding(args.seeding)
-    policy = lloyd.TiePolicy.BRANCH if args.tie_mode == "branch" else lloyd.TiePolicy.STRICT
+    policy = lloyd.TiePolicy(args.tie_mode)
     result = lloyd.run(points, seeding, policy, cap=args.cap)
     traces = result if isinstance(result, tuple) else (result,)
     target = model.target_partition(cfg.k)
     if args.format == "json":
         data = [lloyd.trace_to_dict(t) for t in traces]
-        _emit_json(data[0] if len(data) == 1 else data)
+        print(model._json_text(data[0] if len(data) == 1 else data))
     else:
         print(f"points: [{', '.join(str(x) for x in points.positions)}]")
         print(f"seeding: {seeding}")
@@ -202,7 +199,7 @@ def cmd_probability(args: argparse.Namespace) -> int:
     bound = Fraction(comb(2 * cfg.k, cfg.k) - 1, comb(2 * cfg.k, cfg.k))
     violates = probability <= bound
     if args.format == "json":
-        _emit_json(
+        print(model._json_text(
             {
                 "config": model.config_to_dict(cfg),
                 "success_probability": str(probability),
@@ -212,7 +209,7 @@ def cmd_probability(args: argparse.Namespace) -> int:
                 "bound": str(bound),
                 "violates_bound": violates,
             }
-        )
+        ))
     else:
         print(f"success probability: {probability} (~ {float(probability):.6g})")
         print(f"seedings: {survey.reached_count} of {survey.total} reach the pairing partition"
@@ -253,9 +250,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle=not args.no_oracle,
     )
     text = report.to_json()
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(text + "\n")
     csv_text = report.to_csv() if csv_path is not None or args.format == "csv" else None
     if csv_path is not None:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(csv_text)
     if args.format == "json":
         print(text)
@@ -293,6 +292,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     cert = verify.certify_config(cfg, oracle=True, include_traces=True)
     text = cert.to_json()
     if out_path is not None:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text + "\n")
         print(f"certificate written to {out_path}")
     else:

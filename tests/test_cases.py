@@ -7,6 +7,7 @@ import pytest
 
 from kmeans_richness.cases import (
     UNCLASSIFIED,
+    AdversarialPlan,
     CaseLabel,
     ClassificationTieError,
     PlanSemantics,
@@ -319,3 +320,10 @@ class TestDispatch:
         assert adversarial_plan(DistanceConfig((1, 3, 3, 1), (2, 2, 2))).label.tag == "AA"
         with pytest.raises(ValueError):
             adversarial_plan(DistanceConfig((1, 1), (10,)))
+
+    def test_plan_needs_a_name_slot_per_candidate_and_a_candidate(self):
+        label, seeding = CaseLabel("AA"), Seeding((2, 4, 5, 7))
+        with pytest.raises(ValueError, match="one name slot per candidate"):
+            AdversarialPlan(label, (seeding,), (), PlanSemantics.ALL_MUST_FAIL)
+        with pytest.raises(ValueError, match="plan needs at least one candidate"):
+            AdversarialPlan(label, (), (), PlanSemantics.ALL_MUST_FAIL)

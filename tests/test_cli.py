@@ -2,15 +2,19 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 
 import pytest
 
 from kmeans_richness import cases, lloyd, verify
-from kmeans_richness.cli import build_parser, main
+from kmeans_richness.cli import _check_writable, build_parser, main
 from kmeans_richness.model import Seeding
 
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
+# k=1000, valid and classified (BE): a survey of its C(2000,1000) seedings could never finish
+CONFIG_K1000 = "a=" + ",".join(["1"] * 1000) + "; p=" + ",".join(["5"] * 999)
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +172,43 @@ class TestProbabilityCommand:
     def test_invalid(self, capsys):
         code, _, err = run_cli(capsys, "probability", "a=5,1,1,1; p=1,1,1")
         assert code == 2
+
+    def test_every_seeding_tied(self, capsys, monkeypatch):
+        # no config at k = 2 or 3 with entries 1..6 ties on every seeding
+        def all_tied(cfg):
+            seedings = tuple(Seeding(c) for c in itertools.combinations(range(1, 2 * cfg.k + 1), cfg.k))
+            return verify.SeedingSurvey(len(seedings), 0, 0, len(seedings), 0, None, seedings, False)
+
+        monkeypatch.setattr(verify, "survey_seedings", all_tied)
+        code, out, err = run_cli(capsys, "probability", "a=1,3,3,1; p=2,2,2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no seeding run settled; probability undefined\n"
+
+
+class TestSurveyLimit:
+    """A survey of more than C(28,14) seedings fails at once, with one line,
+    before it builds its step-0 table, and leaves no file and no folder."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("probability", CONFIG_K1000), ("certify", CONFIG_K1000, "--output", "new/c.json"),
+         ("verify", "--k", "1000", "--samples", "1", "--output", "new/r.json")],
+        ids=["probability", "certify", "verify"],
+    )
+    def test_k1000_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the survey built its step-0 table past its limit")
+
+        monkeypatch.setattr(verify, "_step0_table", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: C(2000,1000) seedings are past the survey's limit of C(28,14) = 40,116,600\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:
@@ -363,6 +404,26 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"error: region {named} is given more than once\n"
         assert not out_path.exists()
+
+    def test_unwritable_folder_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output paths were checked")
+
+        monkeypatch.setattr(verify, "campaign", refuse)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--k", "4", "--regions", "AA", "--samples", "1",
+            "--output", str(tmp_path / "new" / "r.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {tmp_path} is not writable\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_writable_creates_nothing(self, tmp_path):
+        _check_writable(tmp_path / "a" / "b.json", None)
+        assert not (tmp_path / "a").exists()
 
     def test_samples_below_one_makes_no_directory(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -607,6 +668,14 @@ class TestCertifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == ["plain"]  # no certificate written
         assert (tmp_path / "plain").read_text() == ""
+
+    def test_failure_after_the_checks_leaves_no_folder(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "certify", "a=5,1; p=1", "--output", "new/deeper/c.json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_check_rejects_a_boolean_k(self, capsys, tmp_path):
         # true is an int in Python, but not a declared k; the k=1 certificate

@@ -166,6 +166,12 @@ class TestCentroids:
         assert cents.values == (1, Fraction(5, 2), Fraction(7, 3))
         assert all(type(v) is Fraction for v in cents.values)
 
+    def test_empty_or_mismatched_mask_rejected(self):
+        with pytest.raises(ValueError, match="need at least one centroid"):
+            Centroids(())
+        with pytest.raises(ValueError, match="empty mask length mismatch"):
+            Centroids((1, 2), (False,))
+
 
 class TestAssign:
     def test_nearest_labels(self):
@@ -220,6 +226,10 @@ class TestUpdate:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             update(PointSet((0, 1)), Partition((0, 2)), Centroids((0, 1)))
+
+    def test_partition_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="partition covers 3 points, point set has 2"):
+            update(PointSet((0, 1)), Partition((0, 0, 1)), Centroids((0, 1)))
 
 
 class TestRun:
@@ -279,9 +289,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(points, Seeding((1, 3)), cap=0)
 
+    def test_branch_cap_must_be_positive(self):
+        points = embed(DistanceConfig((1, 1), (10,)))
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            run(points, Seeding((1, 3)), TiePolicy.BRANCH, cap=0)
+
     def test_seed_index_out_of_range(self):
         with pytest.raises(ValueError):
             run(PointSet((0, 1)), Seeding((1, 3)))
+
+    def test_seed_centroids_index_out_of_range(self):
+        with pytest.raises(ValueError, match="seed index 3 out of range 1..2"):
+            seed_centroids(PointSet((0, 1)), Seeding((1, 3)))
 
     def test_branch_run_on_tie_free_matches_strict(self):
         points = embed(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
@@ -348,6 +367,10 @@ class TestStep:
 
 
 class TestIsFixedPoint:
+    def test_partition_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="partition covers 2 points, point set has 8"):
+            is_fixed_point(embed(DistanceConfig((1, 1, 1, 1), (10, 10, 10))), Partition((0, 1)))
+
     def test_well_separated_target_is_fixed(self):
         cfg = DistanceConfig((1, 1, 1, 1), (10, 10, 10))
         assert is_fixed_point(embed(cfg), target_partition(4))
@@ -516,6 +539,10 @@ class TestCost:
 
     def test_mixed_blocks(self):
         assert cost(PointSet((0, 1, 3, 6)), Partition((0, 0, 0, 1))) == Fraction(14, 3)
+
+    def test_partition_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="partition covers 1 points, point set has 2"):
+            cost(PointSet((0, 1)), Partition((0,)))
 
 
 class TestTraceInvariants:

@@ -171,6 +171,10 @@ class TestTargetPartition:
             assert target_partition(k) is target_partition(k)
             assert target_partition(k).labels == Partition(tuple(i // 2 for i in range(2 * k))).labels
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            target_partition(0)
+
 
 class TestMirror:
     def test_config_reversal(self):
@@ -187,6 +191,10 @@ class TestMirror:
     @given(config_strategy())
     def test_involution(self, cfg):
         assert mirror(mirror(cfg)) == cfg
+
+    def test_seed_past_2k_rejected(self):
+        with pytest.raises(ValueError, match="seed index 9 out of range for k=4"):
+            mirror_seeding(Seeding((1, 9)), 4)
 
     @given(st.sets(st.integers(1, 12), min_size=2, max_size=6))
     def test_seeding_involution(self, indices):
@@ -223,6 +231,16 @@ class TestPartition:
         assert Partition((0, 0, 1, 1)).is_contiguous()
         assert not Partition((0, 1, 0, 1)).is_contiguous()
 
+    def test_empty_or_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="empty partition"):
+            Partition(())
+        with pytest.raises(ValueError, match="cluster ids must be non-negative"):
+            Partition((0, -1))
+
+    def test_equality_with_a_non_partition(self):
+        assert Partition((0,)).__eq__(3) is NotImplemented
+        assert Partition((0,)) != 3
+
     def test_labels_must_be_integers(self):
         assert Partition((True, False)).labels == (1, 0)
         assert type(Partition((True, False)).labels[0]) is int
@@ -246,11 +264,19 @@ class TestSeeding:
             with pytest.raises(TypeError):
                 Seeding(indices)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty seeding"):
+            Seeding(())
+
     def test_str(self):
         assert str(Seeding((2, 4, 5, 7))) == "{2,4,5,7}"
 
 
 class TestPointSet:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty point set"):
+            PointSet(())
+
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             PointSet((0, 0, 1))

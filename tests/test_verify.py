@@ -42,6 +42,13 @@ from kmeans_richness.verify import (
 )
 
 
+def all_tied_survey(cfg, cap=lloyd.DEFAULT_CAP):
+    """A survey in which every seeding ties: no config at k = 2 or 3 with
+    entries 1..6 gives one, so the guards it reaches need this fake."""
+    seedings = tuple(Seeding(c) for c in itertools.combinations(range(1, 2 * cfg.k + 1), cfg.k))
+    return verify.SeedingSurvey(len(seedings), 0, 0, len(seedings), 0, None, seedings, False)
+
+
 class TestSurvey:
     def test_two_pair_wide_gap_all_reach(self):
         # small pairs, huge gap: every one of the 6 seedings lands on the pairing
@@ -63,6 +70,17 @@ class TestSurvey:
         survey = survey_seedings(DistanceConfig((1,), ()))
         assert survey.total == 2
         assert survey.probability == 1
+
+    def test_past_k14_fails_before_the_step0_table(self, monkeypatch):
+        def reached(xs):
+            raise LookupError("the step-0 table was built")
+
+        monkeypatch.setattr(verify, "_step0_table", reached)
+        with pytest.raises(LookupError):
+            survey_seedings(DistanceConfig((1,) * 14, (5,) * 13))
+        limit = r"^C\(30,15\) seedings are past the survey's limit of C\(28,14\) = 40,116,600$"
+        with pytest.raises(ValueError, match=limit):
+            survey_seedings(DistanceConfig((1,) * 15, (5,) * 14))
 
     def test_capped_runs_leave_the_probability_undefined(self):
         survey = survey_seedings(parse_config("a=1,3,3,1; p=2,2,2"), cap=1)
@@ -92,6 +110,11 @@ class TestSuccessProbability:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             success_probability(DistanceConfig((5, 1), (1,)))
+
+    def test_undefined_when_every_seeding_ties(self, monkeypatch):
+        monkeypatch.setattr(verify, "survey_seedings", all_tied_survey)
+        with pytest.raises(ArithmeticError, match="no seeding run settled; probability undefined"):
+            success_probability(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
 
 
 class TestRichnessViolation:
@@ -193,6 +216,12 @@ class TestExistsFailingSeeding:
         cert = exists_failing_seeding(DistanceConfig((1, 1, 1, 1), (3, 3, 3)))
         assert cert.verdict == VERDICT_HOLDS
         assert cert.oracle.first_failing is not None
+
+    def test_skipped_when_every_seeding_ties(self, monkeypatch):
+        monkeypatch.setattr(verify, "survey_seedings", all_tied_survey)
+        cert = exists_failing_seeding(DistanceConfig((1, 3, 3, 1), (2, 2, 2)))
+        assert cert.verdict == VERDICT_SKIPPED
+        assert cert.skip_reason == "oracle runs tied or hit the cap on every seeding"
 
     def test_oracle_consistency_with_plan_results(self):
         rng = random.Random(34)
