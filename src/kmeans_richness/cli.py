@@ -3,7 +3,8 @@
 Subcommands: ``classify``, ``simulate``, ``probability``, ``verify``,
 ``certify``.  Machine formats render rationals as ``num/den`` strings and are
 byte-stable for a fixed RNG seed.  Exit codes: 0 success / plan holds,
-1 violation found, 2 usage or input error.
+1 violation found, 2 usage or input error, 141 (as for SIGPIPE) when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -356,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left; with stdout on devnull the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (  # ValueError includes ConfigParseError and NonPositiveDistanceError
         CliError, ValueError, ArithmeticError, OSError,
         cases.ClassificationTieError, lloyd.BranchLimitError,

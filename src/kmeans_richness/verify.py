@@ -75,15 +75,14 @@ class SeedingSurvey:
         return Fraction(self.reached_count, self.total - self.tie_count)
 
 
-def survey_seedings(cfg: DistanceConfig, cap: int = DEFAULT_CAP) -> SeedingSurvey:
-    """Outcome counts over all C(2k, k) seedings under ``cap``, with the first
-    failing seeding and the tied ones in lexicographic order (see ``_survey``)."""
-    return _survey(cfg, cap)[0]
+def survey_seedings(cfg: DistanceConfig) -> SeedingSurvey:
+    """Outcome counts over all C(2k, k) seedings under the iteration cap, with
+    the first failing seeding and the tied ones in lexicographic order (see
+    ``_survey``)."""
+    return _survey(cfg)[0]
 
 
-def _survey(
-    cfg: DistanceConfig, cap: int, probes: Sequence[Seeding] = ()
-) -> tuple[SeedingSurvey, list[str]] | None:
+def _survey(cfg: DistanceConfig, probes: Sequence[Seeding] = ()) -> tuple[SeedingSurvey, list[str]] | None:
     """``survey_seedings``, and each probe seeding's outcome ("reached",
     "failed", "tie" or "cap-exceeded"; k > 1); None, with no walk, if a probe
     ties at step 0.
@@ -93,24 +92,23 @@ def _survey(
     partition P is the tuple of step-0 cuts between adjacent seeds, read from
     ``_step0_table``, and a point on a midpoint ties every seeding through
     that pair.  The outcome depends on P only through Q, the partition its
-    first step makes (ties included), whether P == Q (which matters only when
-    cap <= 2), and P's means on the blocks empty in Q (frozen centroids).
-    Q's cut after P's block (a, b] and before (b, c] is one
-    ``LineEngine._table`` entry.  So the seedings that extend a prefix depend
-    on it only through its state: its last seed, its last two cuts, the cuts
-    of Q it fixes, and a tag, None unless cap <= 2 (then whether Q == P so
-    far) or Q has an empty block (then that block's P cuts).  The seedings
+    first step makes (ties included), and P's means on the blocks empty in Q
+    (frozen centroids); the cap, ``DEFAULT_CAP`` read at each call, is at
+    least 3, so whether P == Q changes no outcome.  Q's cut after P's block
+    (a, b] and before (b, c] is one ``LineEngine._table`` entry.  So the
+    seedings that extend a prefix depend on it only through its state: its
+    last seed, its last two cuts, the cuts of Q it fixes, and a tag, None
+    unless Q has an empty block (then that block's P cuts).  The seedings
     below each state are tallied once, depth first in lexicographic order,
     and added again wherever another prefix reaches the state; a prefix
-    whose Q ties ties them all, unless cap is 1, where they are
-    cap-exceeded.  The last seed adds no later cut, so the last seeds after
-    one state are taken in runs of equal step-0 cut, one first partition per
-    run.  A state with one seed to come costs less to tally than to
-    memoize, so the loop over the second-to-last seed j goes on over j's
-    runs in place; at k=1 there is no cut at all.  A state is first reached
-    by its lexicographically smallest prefix, so ``first_failing``, the
-    tied order and ``empty_rule_used`` are those of a walk over every
-    seeding.  Each state lists its tied seedings as entries that link to its
+    whose Q ties ties them all.  The last seed adds no later cut, so the
+    last seeds after one state are taken in runs of equal step-0 cut, one
+    first partition per run.  A state with one seed to come costs less to
+    tally than to memoize, so the loop over the second-to-last seed j goes
+    on over j's runs in place; at k=1 there is no cut at all.  A state is
+    first reached by its lexicographically smallest prefix, so
+    ``first_failing``, the tied order and ``empty_rule_used`` are those of a
+    walk over every seeding.  Each state lists its tied seedings as entries that link to its
     tied subtrees and its children's entries; they are built once, at the
     end, in order.  Their indices are sorted, distinct and 1-based by
     construction, so they skip ``Seeding``'s checks.
@@ -123,15 +121,13 @@ def _survey(
     step runs per distinct such partition: a memo maps its cuts to the
     outcome ("reached", "failed" or "tie") and the depth, the number of
     steps to a fixed point or a tie.  A seeding is "cap-exceeded" iff its
-    first partition's depth is at least ``cap``.  A chain that empties a
+    first partition's depth is at least the cap.  A chain that empties a
     block (``LineEngine.step`` returns False, unless the step also ties)
     goes on from a frozen centroid, so its seedings run from their seeds
     instead, once per first partition; only those runs can set
     ``empty_rule_used``.  A probe's outcome is its first partition's, settled
     after the walk if the walk did not reach it.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     k = cfg.k
     if k > _MAX_SURVEY_K:
         m = _MAX_SURVEY_K
@@ -145,7 +141,7 @@ def _survey(
         return None
     # cuts -> (outcome, depth); outcome None: the chain empties a block
     memo: dict[tuple[int, ...], tuple[str | None, int]] = {}
-    # first partition's cuts -> the outcome of its seedings under cap
+    # first partition's cuts -> the outcome of its seedings
     settled: dict[tuple[int, ...], str] = {}
     first_failing: Seeding | None = None
     empty_used = False
@@ -172,11 +168,11 @@ def _survey(
             entry = memo[key] = (entry[0], entry[1] + 1)
         outcome, depth = entry
         if outcome is None:
-            outcome, final, empty_seen, _steps = engine.run_lean(indices, cap)
+            outcome, final, empty_seen, _steps = engine.run_lean(indices, DEFAULT_CAP)
             if outcome == "converged":
                 outcome = "reached" if final == target else "failed"
             empty_used = empty_used or empty_seen
-        elif depth >= cap:
+        elif depth >= DEFAULT_CAP:
             outcome = "cap-exceeded"
         settled[first] = outcome
         return outcome
@@ -229,13 +225,11 @@ def _survey(
                     q = table.get((a, b, cut))
                     if q is None:
                         q = cut_of(a, b, cut)
-                    if q < 0 and cap > 1:  # every seeding below ties at the first step
+                    if q < 0:  # every seeding below ties at the first step
                         tie += comb(n - j, left)
                         entries.append((j, left))
                         continue
-                    if cap <= 2:  # whether Q == P so far
-                        sub_tag = tag and q == b
-                    elif q <= last_q:  # Q's block (a, b] is empty: P's mean there is frozen
+                    if q <= last_q:  # Q's block (a, b] is empty: P's mean there is frozen
                         sub_tag = (tag, a, b)
                     sub_qs = qs + (q,)
                     key = (b, cut, sub_qs, sub_tag)
@@ -253,9 +247,9 @@ def _survey(
         return reached, failed, tie, capped, entries or ()
 
     if k > 1:
-        reached, failed, tie, capped, entries = tally((), (), (), cap <= 2 or None, 0, k - 1)
+        reached, failed, tie, capped, entries = tally((), (), (), None, 0, k - 1)
     else:  # no cut at all: the one partition is the target, repeated at the second step
-        reached, failed, tie, capped, entries = (n, 0, 0, 0, ()) if cap > 1 else (0, 0, 0, n, ())
+        reached, failed, tie, capped, entries = n, 0, 0, 0, ()
     firsts = [sum(c, ()) for c in cells]
     outcomes = [settled.get(f) or settle(f, s.indices) for f, s in zip(firsts, probes)]
     # tally refers to itself: drop the cycle, and the memos before the tied seedings are built
@@ -464,7 +458,7 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
         return _oracle_only(cfg, cases.UNCLASSIFIED), ()
     plan = cases._adversarial_plan(label, cfg.k)
 
-    surveyed = _survey(cfg, DEFAULT_CAP, plan.candidates) if oracle else None
+    surveyed = _survey(cfg, plan.candidates) if oracle else None
     survey, outcomes = surveyed or (None, [None] * len(plan.candidates))
     engine = None
     target = tuple(range(2, 2 * cfg.k, 2))  # the pairing's cuts

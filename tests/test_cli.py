@@ -5,9 +5,12 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import kmeans_richness
 from kmeans_richness import cases, lloyd, verify
 from kmeans_richness.cli import _check_writable, build_parser, main
 from kmeans_richness.model import Seeding
@@ -148,6 +151,21 @@ class TestSimulateCommand:
         assert code == 0
         assert out.endswith("\noutcome: iteration cap 1 exceeded\n")
         assert err == ""
+
+    def test_reader_closing_stdout_early_exits_141(self):
+        # like `| head -n 1` on a 291,774-byte trace: the reader's leaving is no usage error
+        src = os.path.dirname(os.path.dirname(kmeans_richness.__file__))
+        argv = [
+            sys.executable, "-m", "kmeans_richness.cli", "simulate", "a=1,1,1,1,1,1; p=1,1,1,1,1",
+            "--seeding", "1,3,5,7,9,11", "--tie-mode", "branch", "--format", "json",
+        ]
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (141, b"")
 
 
 class TestProbabilityCommand:

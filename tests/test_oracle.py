@@ -5,8 +5,9 @@ last two step-0 cuts, the cuts of the first Lloyd step's partition fixed so
 far, and a tag), over a table of step-0 midpoint cuts, and runs at most one
 Lloyd step per distinct partition with no empty block, memoizing each
 partition's outcome and depth.  The reference below runs every seeding from
-its seeds, in the same lexicographic order.  On every config and cap the two
-must agree in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
+its seeds, in the same lexicographic order.  On every config, at the
+iteration cap and at cap 3 (set through ``verify.DEFAULT_CAP``), the two must
+agree in every ``SeedingSurvey`` field, ``first_failing``, ``tied`` and
 ``empty_rule_used`` included.  The step itself, a lookup in a table of block
 boundaries, is checked against plain ``Fraction`` arithmetic in
 ``test_lloyd.py``.
@@ -16,11 +17,12 @@ import gc
 import random
 from itertools import combinations, groupby
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmeans_richness import lloyd
+from kmeans_richness import lloyd, verify
 from kmeans_richness.lloyd import DEFAULT_CAP, EngineInvariantError, LineEngine
 from kmeans_richness.model import (
     DistanceConfig,
@@ -41,7 +43,19 @@ from kmeans_richness.verify import (
     survey_seedings,
 )
 
-CAPS = (1, 2, 3, DEFAULT_CAP)
+# the survey's cap is at least 3: below it, whether a first partition is a
+# fixed point would change outcomes
+CAPS = (3, DEFAULT_CAP)
+
+
+def at_cap(cap):
+    """The survey counting at iteration cap ``cap`` (a context manager)."""
+    return mock.patch.object(verify, "DEFAULT_CAP", cap)
+
+
+def survey_at(cfg, cap):
+    with at_cap(cap):
+        return survey_seedings(cfg)
 
 
 def reference_survey(cfg, cap=DEFAULT_CAP):
@@ -115,7 +129,7 @@ EMPTY_RULE_CONFIGS = [
 @pytest.mark.parametrize("a, p", EMPTY_RULE_CONFIGS)
 def test_empty_rule_configs_match_reference(a, p, cap):
     cfg = DistanceConfig(a, p)
-    survey = survey_seedings(cfg, cap)
+    survey = survey_at(cfg, cap)
     assert survey == reference_survey(cfg, cap)
     if cap == DEFAULT_CAP:
         assert survey.empty_rule_used
@@ -129,9 +143,6 @@ def test_tied_empty_rule_config_counts():
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_below_one_rejected(cap):
-    # the per-seeding reference would count every seeding as capped, step-0 ties included
-    with pytest.raises(ValueError, match="cap must be >= 1"):
-        survey_seedings(DistanceConfig((1, 1, 1, 1), (3, 3, 3)), cap)
     # a lean run shares the strict run's check; the seeding would tie at step 0
     engine = LineEngine(embed(DistanceConfig((2, 2, 1, 1), (1, 1, 1))))
     with pytest.raises(ValueError, match="cap must be >= 1"):
@@ -153,22 +164,18 @@ SMALL_K_CONFIGS = [
 @pytest.mark.parametrize("a, p", SMALL_K_CONFIGS)
 def test_small_k_configs_match_reference(a, p, cap):
     cfg = DistanceConfig(a, p)
-    assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+    assert survey_at(cfg, cap) == reference_survey(cfg, cap)
 
 
 def test_tie_at_the_first_step_is_capped_at_cap_one():
     # points 0, 1, 2, 5: seeds {2, 3} cut at 2, and the block means 1/2 and
     # 7/2 put point 3 on their midpoint in the first step after the seeds;
-    # seeds {1, 3} tie at step 0 itself, which no cap hides; SMALL_K_CONFIGS
-    # checks every field against the reference
+    # a lean run at cap 1 stops before that step.  SMALL_K_CONFIGS checks
+    # the survey of this config against the reference at every cap it takes
     cfg = DistanceConfig((1, 3), (1,))
-    assert LineEngine(embed(cfg)).run_lean((2, 3)) == ("tie", (1, 3, (0, 1)), False, 2)
-    capped = survey_seedings(cfg, 1)
-    assert (capped.tie_count, capped.cap_count) == (1, 5)
-    assert capped.tied == (Seeding((1, 3)),)
-    tied = survey_seedings(cfg, 2)
-    assert (tied.tie_count, tied.cap_count) == (2, 1)
-    assert tied.tied == (Seeding((1, 3)), Seeding((2, 3)))
+    engine = LineEngine(embed(cfg))
+    assert engine.run_lean((2, 3)) == ("tie", (1, 3, (0, 1)), False, 2)
+    assert engine.run_lean((2, 3), 1) == ("cap-exceeded", None, False, 1)
 
 
 @st.composite
@@ -184,13 +191,13 @@ def configs(draw, high):
 @given(configs(4), st.sampled_from(CAPS))
 def test_small_entries_match_reference(cfg, cap):
     # entries in 1..4 put points on many midpoints: ties at step 0 and later
-    assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+    assert survey_at(cfg, cap) == reference_survey(cfg, cap)
 
 
 @settings(max_examples=150, deadline=None)
 @given(configs(50), st.sampled_from(CAPS))
 def test_wide_entries_match_reference(cfg, cap):
-    assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+    assert survey_at(cfg, cap) == reference_survey(cfg, cap)
 
 
 def _ones_configs(k, count, seed):
@@ -203,9 +210,9 @@ def _ones_configs(k, count, seed):
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("k", range(1, 8))
 def test_tie_heavy_configs_match_reference(k, cap):
-    # many prefixes share a state here, and cap 2 reads the "Q == P so far" tag
+    # many prefixes share a state here
     for cfg in _ones_configs(k, 6, seed=20 + k):
-        assert survey_seedings(cfg, cap) == reference_survey(cfg, cap)
+        assert survey_at(cfg, cap) == reference_survey(cfg, cap)
 
 
 def _valid_configs(k, count, seed):
@@ -235,7 +242,7 @@ K8_CONFIGS = {
 @pytest.mark.parametrize("a, p", list(K8_CONFIGS.values()), ids=list(K8_CONFIGS))
 def test_k8_fixed_configs_match_reference_at_every_cap(a, p, cap):
     cfg = DistanceConfig(a, p)
-    survey = survey_seedings(cfg, cap)
+    survey = survey_at(cfg, cap)
     assert survey == reference_survey(cfg, cap)  # every field, tied order included
     if cap == DEFAULT_CAP:
         assert survey.first_failing is not None
@@ -281,12 +288,12 @@ def test_k8_small_entries_share_a_state_with_a_tie_below():
 
 # k=10, where the per-seeding reference is too slow: the mirrored walk meets
 # its states in another order, so the counts of the two must still agree
-@pytest.mark.parametrize("cap", [2, 3, DEFAULT_CAP])
+@pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize(
     "cfg", [*_ones_configs(10, 1, seed=10), *_valid_configs(10, 1, seed=10)], ids=["ones", "wide"]
 )
 def test_k10_survey_matches_its_mirror(cfg, cap):
-    survey, mirrored = survey_seedings(cfg, cap), survey_seedings(mirror(cfg), cap)
+    survey, mirrored = survey_at(cfg, cap), survey_at(mirror(cfg), cap)
     fields = ("reached_count", "failed_count", "tie_count", "cap_count", "empty_rule_used")
     assert [getattr(survey, f) for f in fields] == [getattr(mirrored, f) for f in fields]
 
@@ -319,13 +326,13 @@ def _assert_seedings_valid(survey, k):
 @pytest.mark.parametrize("a, p", EMPTY_RULE_CONFIGS + list(K8_CONFIGS.values()))
 def test_surveyed_seedings_are_valid_on_empty_rule_configs(a, p, cap):
     cfg = DistanceConfig(a, p)
-    _assert_seedings_valid(survey_seedings(cfg, cap), cfg.k)
+    _assert_seedings_valid(survey_at(cfg, cap), cfg.k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(configs(4), st.sampled_from(CAPS))
 def test_surveyed_seedings_are_valid(cfg, cap):
-    _assert_seedings_valid(survey_seedings(cfg, cap), cfg.k)
+    _assert_seedings_valid(survey_at(cfg, cap), cfg.k)
 
 
 @pytest.mark.parametrize(
@@ -366,7 +373,7 @@ def test_caps_around_the_longest_run_match_reference(a, p):
         caps |= {max(empty_runs) - 1, max(empty_runs), max(empty_runs) + 1}
     for cap in sorted(caps):
         expected = reference_survey(cfg, cap)
-        assert survey_seedings(cfg, cap) == expected
+        assert survey_at(cfg, cap) == expected
         assert (expected.cap_count > 0) == (cap < longest)
 
 
@@ -437,11 +444,12 @@ def test_probe_outcomes_match_runs_from_the_seeds(k, cap):
                 kind = "reached" if detail == target else "failed"
             probes.append(Seeding(indices))
             expected.append(kind)
-        survey, outcomes = _survey(cfg, cap, probes)
-        assert survey == survey_seedings(cfg, cap)
-        assert outcomes == expected
-        if step0_tie is not None:
-            assert _survey(cfg, cap, [*probes, step0_tie]) is None
+        with at_cap(cap):
+            survey, outcomes = _survey(cfg, probes)
+            assert survey == survey_seedings(cfg)
+            assert outcomes == expected
+            if step0_tie is not None:
+                assert _survey(cfg, [*probes, step0_tie]) is None
 
 
 def test_boundary_rejects_centroids_out_of_order():

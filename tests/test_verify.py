@@ -42,7 +42,7 @@ from kmeans_richness.verify import (
 )
 
 
-def all_tied_survey(cfg, cap=lloyd.DEFAULT_CAP):
+def all_tied_survey(cfg):
     """A survey in which every seeding ties: no config at k = 2 or 3 with
     entries 1..6 gives one, so the guards it reaches need this fake."""
     seedings = tuple(Seeding(c) for c in itertools.combinations(range(1, 2 * cfg.k + 1), cfg.k))
@@ -82,9 +82,11 @@ class TestSurvey:
         with pytest.raises(ValueError, match=limit):
             survey_seedings(DistanceConfig((1,) * 15, (5,) * 14))
 
-    def test_capped_runs_leave_the_probability_undefined(self):
-        survey = survey_seedings(parse_config("a=1,3,3,1; p=2,2,2"), cap=1)
-        assert survey.cap_count == 53
+    def test_capped_runs_leave_the_probability_undefined(self, monkeypatch):
+        # at cap 3 no run of the AA config a=1,3,3,1; p=2,2,2 is capped
+        monkeypatch.setattr(verify, "DEFAULT_CAP", 3)
+        survey = survey_seedings(parse_config("a=8,8,1,1; p=7,7,2"))
+        assert survey.cap_count == 15
         assert survey.probability is None
 
     def test_witness_behaviour_matches_runs(self):
@@ -467,8 +469,8 @@ class TestDecision:
         # tied at step 0 stops it before the walk, a later tie discards it
         survey, probed = verify._survey, []
 
-        def recorded(cfg, cap, probes=()):
-            result = survey(cfg, cap, probes)
+        def recorded(cfg, probes=()):
+            result = survey(cfg, probes)
             if probes:
                 probed.append(result)
             return result
@@ -543,15 +545,15 @@ class TestDecision:
         assert steps == []
 
     def test_cap_path(self, monkeypatch):
-        lean, strict, survey = LineEngine.run_lean, LineEngine.run_strict, verify._survey
-        monkeypatch.setattr(LineEngine, "run_lean", lambda self, seeds, cap=1: lean(self, seeds, 1))
-        monkeypatch.setattr(LineEngine, "run_strict", lambda self, s, cap=1: strict(self, s, 1))
-        monkeypatch.setattr(verify, "_survey", lambda cfg, cap, probes=(): survey(cfg, 1, probes))
+        # this ACB config's one candidate, {1,3,5,7}, converges in 4 steps
+        lean, strict = LineEngine.run_lean, LineEngine.run_strict
+        monkeypatch.setattr(LineEngine, "run_lean", lambda self, seeds, cap=3: lean(self, seeds, 3))
+        monkeypatch.setattr(LineEngine, "run_strict", lambda self, s, cap=3: strict(self, s, 3))
+        monkeypatch.setattr(verify, "DEFAULT_CAP", 3)
         for oracle in (True, False):
-            cert = self.check(parse_config("a=1,3,3,1; p=2,2,2"), oracle)
+            cert = self.check(parse_config("a=8,8,1,1; p=7,7,2"), oracle)
             assert cert.verdict == VERDICT_SKIPPED
-            reason = f"candidate {{2,4,5,7}} hit the iteration cap {verify.DEFAULT_CAP}"
-            assert cert.skip_reason == reason
+            assert cert.skip_reason == "candidate {1,3,5,7} hit the iteration cap 3"
 
     def test_violation_path(self, monkeypatch):
         monkeypatch.setattr(cases, "_adversarial_plan", pairing_plan(cases._adversarial_plan))
