@@ -352,9 +352,9 @@ def _adversarial_plan(label: CaseLabel, k: int) -> AdversarialPlan:
 
 def classify(cfg: DistanceConfig) -> CaseLabel:
     """Case label of a valid configuration; no case analysis exists below k=4."""
+    _require_valid(cfg)
     if cfg.k < 4:
         raise ValueError(f"no case analysis for k={cfg.k}")
-    _require_valid(cfg)
     a, p, _den = cfg._ints
     return label_of(a, p)
 

@@ -59,8 +59,6 @@ def _parse_seeding(text: str) -> model.Seeding:
         indices = tuple(int(part) for part in cleaned.split(",") if part.strip())
     except ValueError:
         raise CliError(f"bad seeding {text!r}; expected comma-separated indices") from None
-    if not indices:
-        raise CliError("empty seeding")
     return model.Seeding(indices)
 
 
@@ -138,7 +136,6 @@ def render_trace(points: model.PointSet, trace: lloyd.LloydTrace) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    model._require_valid(cfg)
     label = cases.classify(cfg)
     plan = None if label.tag == cases.UNCLASSIFIED else cases._adversarial_plan(label, cfg.k)
     if args.format == "json":

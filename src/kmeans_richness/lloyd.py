@@ -366,8 +366,6 @@ class LineEngine:
     def run_branch(self, seeding: Seeding, cap: int = DEFAULT_CAP) -> tuple[LloydTrace, ...]:
         """One trace per tie resolution, depth first: ``pending`` holds each tied
         step on the path as (history before it, its state, resolutions left)."""
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
         self._check_seeding(seeding)
         results: list[LloydTrace] = []
         pending: list[tuple[list[_RawStep], tuple, Iterator[tuple[int, ...]]]] = []

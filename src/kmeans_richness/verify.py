@@ -129,9 +129,7 @@ def _survey(cfg: DistanceConfig, probes: Sequence[Seeding] = ()) -> tuple[Seedin
     after the walk if the walk did not reach it.
     """
     k = cfg.k
-    if k > _MAX_SURVEY_K:
-        m = _MAX_SURVEY_K
-        raise ValueError(f"C({2 * k},{k}) seedings are past the survey's limit of C({2 * m},{m}) = {comb(2 * m, m):,}")
+    _check_survey_limit(k)
     engine = LineEngine._of_config(cfg)
     n = 2 * k
     target = tuple(range(2, n, 2))
@@ -267,6 +265,13 @@ def _survey(cfg: DistanceConfig, probes: Sequence[Seeding] = ()) -> tuple[Seedin
         empty_rule_used=empty_used,
     )
     return survey, outcomes
+
+
+def _check_survey_limit(k: int) -> None:
+    """Raise the survey's limit error if C(2k, k) seedings are past it."""
+    if k > _MAX_SURVEY_K:
+        m = _MAX_SURVEY_K
+        raise ValueError(f"C({2 * k},{k}) seedings are past the survey's limit of C({2 * m},{m}) = {comb(2 * m, m):,}")
 
 
 def _step0_table(xs: Sequence[int]) -> tuple[list[list], list[list]]:
@@ -468,7 +473,7 @@ def _decide(cfg: DistanceConfig, oracle: bool) -> tuple[Certificate, tuple]:
             reached.append(outcome == "reached")
             continue
         engine = engine or LineEngine._of_config(cfg)
-        kind, detail, _empty, _steps = engine.run_lean(seeding.indices)
+        kind, detail, _empty, _steps = engine.run_lean(seeding.indices, DEFAULT_CAP)
         if kind != "converged":
             reason = f"candidate {seeding} hit the iteration cap {DEFAULT_CAP}"
             if kind == "tie":
@@ -488,8 +493,8 @@ def _with_runs(cert: Certificate, pairs: tuple, traced: bool) -> Certificate:
     pairs, and of the survey's first failing seeding if ``traced``."""
     engine = LineEngine._of_config(cert.config)
     failing = cert.oracle.first_failing if cert.oracle is not None else None
-    witness = engine.run_strict(failing) if traced and failing is not None else None
-    records = tuple(CandidateRecord(name, engine.run_strict(s)) for name, s in pairs)
+    witness = engine.run_strict(failing, DEFAULT_CAP) if traced and failing is not None else None
+    records = tuple(CandidateRecord(name, engine.run_strict(s, DEFAULT_CAP)) for name, s in pairs)
     return replace(cert, candidates=records, witness_trace=witness, traced=traced)
 
 
@@ -614,10 +619,7 @@ def recheck_certificate(data: dict) -> list[str]:
 @dataclass(frozen=True)
 class RegionSpec:
     """What to sample: k, a target case label (or "all-valid"), and the
-    bound on the integer entries, which are drawn from {1..bound}.
-
-    ``_label``, the parsed target or None for "all-valid", is not a field.
-    """
+    bound on the integer entries, which are drawn from {1..bound}."""
 
     k: int
     target: str = "all-valid"
@@ -631,7 +633,6 @@ class RegionSpec:
         if self.bound > _MAX_BOUND:
             raise ValueError(f"bound must be <= {_MAX_BOUND} (entries stay within one 32-bit word)")
         label = cases._region(self.k, self.target)
-        object.__setattr__(self, "_label", label)
         object.__setattr__(self, "target", str(label) if label else self.target)  # canonical form
 
     @property
@@ -720,7 +721,7 @@ def sample_config(spec: RegionSpec, rng: random.Random) -> DistanceConfig:
     """
     if type(rng) is not random.Random:
         raise TypeError(f"sample_config needs a random.Random, got {type(rng).__name__}")
-    k, bound, target = spec.k, spec.bound, spec._label
+    k, bound, target = spec.k, spec.bound, cases._region(spec.k, spec.target)
     gaps, forward, last_sums = _region_table(k, target, bound)
     if not last_sums[-1]:
         raise RegionExhaustedError(f"region {spec.name} holds no config at bound {bound}; raise the bound")
@@ -889,6 +890,9 @@ def campaign(
     """
     if samples_per_region < 1:
         raise ValueError("samples_per_region must be >= 1")
+    for spec in regions:  # a sample is surveyed with the oracle on, or when UNCLASSIFIED
+        if oracle or spec.target == cases.UNCLASSIFIED:
+            _check_survey_limit(spec.k)
     results = []
     for region_index, spec in enumerate(regions):
         result = RegionResult(spec, note="no theorem claim at k<4" if spec.k < 4 else None)

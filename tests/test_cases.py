@@ -316,6 +316,11 @@ class TestDispatch:
         with pytest.raises(ValueError):
             classify(DistanceConfig((1, 1), (10,)))
 
+    def test_classify_checks_validity_before_k(self):
+        # an invalid config below k=4 gets the validity message, not "no case analysis"
+        with pytest.raises(ValueError, match=r"^config not valid: .* fails at gaps \[1\]$"):
+            classify(DistanceConfig((1, 5), (1,)))
+
     def test_plan_dispatch(self):
         assert adversarial_plan(DistanceConfig((1, 3, 3, 1), (2, 2, 2))).label.tag == "AA"
         with pytest.raises(ValueError):

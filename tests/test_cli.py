@@ -121,6 +121,12 @@ class TestSimulateCommand:
         assert code == 0
         assert "branch" in out
 
+    def test_empty_seeding_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "a=1,1; p=1", "--seeding", "{}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty seeding\n"
+
     def test_branch_limit_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(lloyd, "DEFAULT_BRANCH_LIMIT", 1)
         code, out, err = run_cli(
@@ -220,6 +226,22 @@ class TestSurveyLimit:
 
         monkeypatch.setattr(verify, "_step0_table", refuse)
         monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: C(2000,1000) seedings are past the survey's limit of C(28,14) = 40,116,600\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_without_oracle_stops_before_sampling(self, capsys, tmp_path, monkeypatch):
+        # the UNCLASSIFIED region's samples are surveyed even with the oracle off
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify sampled a region past the survey's limit")
+
+        monkeypatch.setattr(verify, "sample_config", refuse)
+        monkeypatch.chdir(tmp_path)
+        argv = ("verify", "--k", "1000", "--samples", "1", "--no-oracle", "--output", "new/r.json")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -298,6 +298,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(PointSet((0, 1)), Seeding((1, 3)))
 
+    def test_both_modes_report_a_bad_seed_before_a_bad_cap(self):
+        points = embed(DistanceConfig((1, 1), (10,)))
+        errors = []
+        for policy in (TiePolicy.STRICT, TiePolicy.BRANCH):
+            with pytest.raises(ValueError) as exc:
+                run(points, Seeding((1, 9)), policy, cap=0)
+            errors.append(str(exc.value))
+        assert errors == ["seed index 9 out of range 1..4"] * 2
+
     def test_seed_centroids_index_out_of_range(self):
         with pytest.raises(ValueError, match="seed index 3 out of range 1..2"):
             seed_centroids(PointSet((0, 1)), Seeding((1, 3)))

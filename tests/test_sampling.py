@@ -160,7 +160,7 @@ EXACT_TAGS = {"BA", "BB", "BE"}
 
 
 def _is_exact(spec):
-    label = spec._label
+    label = cases._region(spec.k, spec.target)
     if spec.k < 4:
         return True
     if label is None:  # ties are left to the label
@@ -360,7 +360,7 @@ def test_budget_is_capped_by_the_table(monkeypatch):
     monkeypatch.setattr(cases, "label_of", lambda a, p: calls.append(a) or label_of(a, p))
     exhausted = []
     for spec in default_regions(5, bound=2):
-        total = verify._region_table(5, spec._label, 2)[2][-1]
+        total = verify._region_table(5, cases._region(spec.k, spec.target), 2)[2][-1]
         calls.clear()
         try:
             sample_config(spec, random.Random(5))
@@ -535,7 +535,7 @@ def test_k4_tables_match_reference_in_buckets(few_buckets):
 def _accepted(spec):
     """Every entry tuple a + p the reference accepts, by enumeration."""
     k, b = spec.k, spec.bound
-    target = spec._label
+    target = cases._region(spec.k, spec.target)
     accepted = set()
     for a, row in _reference_labels(k, b).items():
         for p, verdict in zip(product(range(1, b + 1), repeat=k - 1), row):

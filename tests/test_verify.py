@@ -546,9 +546,6 @@ class TestDecision:
 
     def test_cap_path(self, monkeypatch):
         # this ACB config's one candidate, {1,3,5,7}, converges in 4 steps
-        lean, strict = LineEngine.run_lean, LineEngine.run_strict
-        monkeypatch.setattr(LineEngine, "run_lean", lambda self, seeds, cap=3: lean(self, seeds, 3))
-        monkeypatch.setattr(LineEngine, "run_strict", lambda self, s, cap=3: strict(self, s, 3))
         monkeypatch.setattr(verify, "DEFAULT_CAP", 3)
         for oracle in (True, False):
             cert = self.check(parse_config("a=8,8,1,1; p=7,7,2"), oracle)
@@ -725,6 +722,21 @@ class TestCampaign:
     def test_samples_below_one_rejected(self):
         with pytest.raises(ValueError, match=r"^samples_per_region must be >= 1$"):
             campaign(default_regions(4), 0, rng_seed=0)
+
+    def test_survey_limit_checked_only_where_samples_are_surveyed(self, monkeypatch):
+        regions = (RegionSpec(k=15, target="BA"), RegionSpec(k=15, target="BB"))
+        report = campaign(regions, 1, rng_seed=0, oracle=False)
+        assert [(r.samples, r.holds, r.error) for r in report.regions] == [(1, 1, None)] * 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a region past the survey's limit was sampled")
+
+        monkeypatch.setattr(verify, "sample_config", refuse)
+        limit = r"^C\(30,15\) seedings are past the survey's limit of C\(28,14\) = 40,116,600$"
+        with pytest.raises(ValueError, match=limit):
+            campaign(regions, 1, rng_seed=0)
+        with pytest.raises(ValueError, match=limit):
+            campaign(regions + (RegionSpec(k=15, target="UNCLASSIFIED"),), 1, rng_seed=0, oracle=False)
 
     def test_quota_of_decided_certificates(self):
         regions = (RegionSpec(k=4, target="ADD", bound=12),)
@@ -938,7 +950,8 @@ class TestDefaultRegions:
             typed = tuple(RegionSpec(k=k, target=t, bound=bound) for t in cases._region_targets(k))
             regions = default_regions(k, bound)
             assert regions == typed
-            assert [r._label for r in regions] == [r._label for r in typed]
+            parsed = [cases._region(r.k, r.target) for r in regions]
+            assert parsed == [cases._region(r.k, r.target) for r in typed]
             assert [repr(r) for r in regions] == [repr(r) for r in typed]
 
     @pytest.mark.parametrize("k, bound", [(0, 50), (-1, 50), (4, 1), (5, 2**32), (2, 0)])
