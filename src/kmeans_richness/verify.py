@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -504,13 +505,12 @@ def exists_failing_seeding(cfg: DistanceConfig, include_witness_trace: bool = Fa
     The verdict is plan-violated only if every tie-free seeding reached it;
     the label is None below k=4 or on a classification tie.
     """
-    _require_valid(cfg)
     label = None
-    if cfg.k >= 4:
-        try:
-            label = str(cases.classify(cfg))
-        except cases.ClassificationTieError:
-            pass
+    if cfg.k < 4:
+        _require_valid(cfg)
+    else:
+        with suppress(cases.ClassificationTieError):
+            label = str(cases.classify(cfg))  # validates too
     return _with_runs(_oracle_only(cfg, label), (), include_witness_trace)
 
 
@@ -890,8 +890,8 @@ def campaign(
     """
     if samples_per_region < 1:
         raise ValueError("samples_per_region must be >= 1")
-    for spec in regions:  # a sample is surveyed with the oracle on, or when UNCLASSIFIED
-        if oracle or spec.target == cases.UNCLASSIFIED:
+    for spec in regions:  # mirrors _decide, which surveys k<4 and UNCLASSIFIED samples with the oracle off too
+        if oracle or spec.target in (cases.UNCLASSIFIED, "all-valid"):  # an all-valid region draws both
             _check_survey_limit(spec.k)
     results = []
     for region_index, spec in enumerate(regions):

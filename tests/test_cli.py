@@ -18,6 +18,7 @@ from kmeans_richness.model import Seeding
 CONFIG_AA = '{"a": ["1", "3", "3", "1"], "p": ["2", "2", "2"]}'
 # k=1000, valid and classified (BE): a survey of its C(2000,1000) seedings could never finish
 CONFIG_K1000 = "a=" + ",".join(["1"] * 1000) + "; p=" + ",".join(["5"] * 999)
+CONFIG_K15 = "a=" + ",".join(["1"] * 15) + "; p=" + ",".join(["5"] * 14)  # one past the survey's limit
 
 
 def run_cli(capsys, *argv):
@@ -217,8 +218,9 @@ class TestSurveyLimit:
     @pytest.mark.parametrize(
         "argv",
         [("probability", CONFIG_K1000), ("certify", CONFIG_K1000, "--output", "new/c.json"),
-         ("verify", "--k", "1000", "--samples", "1", "--output", "new/r.json")],
-        ids=["probability", "certify", "verify"],
+         ("verify", "--k", "1000", "--samples", "1", "--output", "new/r.json"),
+         ("probability", CONFIG_K15), ("certify", CONFIG_K15, "--output", "new/c.json")],
+        ids=["probability", "certify", "verify", "probability-k15", "certify-k15"],
     )
     def test_k1000_exits_2(self, capsys, tmp_path, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -229,25 +231,27 @@ class TestSurveyLimit:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == (
-            "error: C(2000,1000) seedings are past the survey's limit of C(28,14) = 40,116,600\n"
-        )
+        seedings = "C(30,15)" if CONFIG_K15 in argv else "C(2000,1000)"
+        assert err == f"error: {seedings} seedings are past the survey's limit of C(28,14) = 40,116,600\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_verify_without_oracle_stops_before_sampling(self, capsys, tmp_path, monkeypatch):
-        # the UNCLASSIFIED region's samples are surveyed even with the oracle off
+    @pytest.mark.parametrize(
+        "region, seedings",
+        [(("--k", "1000"), "C(2000,1000)"), (("--k", "15", "--regions", "all-valid"), "C(30,15)")],
+        ids=["k1000", "k15-all-valid"],
+    )
+    def test_verify_without_oracle_stops_before_sampling(self, capsys, tmp_path, monkeypatch, region, seedings):
+        # UNCLASSIFIED samples, which an all-valid region draws, are surveyed even with the oracle off
         def refuse(*args, **kwargs):
             raise AssertionError("verify sampled a region past the survey's limit")
 
         monkeypatch.setattr(verify, "sample_config", refuse)
         monkeypatch.chdir(tmp_path)
-        argv = ("verify", "--k", "1000", "--samples", "1", "--no-oracle", "--output", "new/r.json")
+        argv = ("verify", *region, "--samples", "5", "--no-oracle", "--output", "new/r.json")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == (
-            "error: C(2000,1000) seedings are past the survey's limit of C(28,14) = 40,116,600\n"
-        )
+        assert err == f"error: {seedings} seedings are past the survey's limit of C(28,14) = 40,116,600\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -76,6 +76,10 @@ class TestDistanceConfig:
         with pytest.raises(ValueError):
             DistanceConfig((1, 2), (1, 1))
 
+    def test_empty(self):
+        with pytest.raises(ValueError, match=r"^need at least one intra-pair distance$"):
+            DistanceConfig((), ())
+
     def test_non_positive(self):
         with pytest.raises(NonPositiveDistanceError):
             DistanceConfig((0, 1), (1,))

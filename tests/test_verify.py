@@ -225,6 +225,31 @@ class TestExistsFailingSeeding:
         assert cert.verdict == VERDICT_SKIPPED
         assert cert.skip_reason == "oracle runs tied or hit the cap on every seeding"
 
+    @pytest.mark.parametrize(
+        "text", ["a=1,3,3,1; p=2,2,2", "a=3,3,3,3,3; p=1,1,1,1", "a=1,1; p=10"], ids=["k4", "k5-tie", "k2"]
+    )
+    def test_validates_once(self, monkeypatch, text):
+        # at k>=4 classify validates first, tie or no tie, so the oracle-only path checks once
+        cfg = parse_config(text)
+        calls = []
+
+        def counted(a, p):
+            calls.append((a, p))
+            return is_valid(a, p)
+
+        monkeypatch.setattr(model, "is_valid", counted)
+        exists_failing_seeding(cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, gaps", [("a=1,5; p=1", "[1]"), ("a=1,3,3,9,1; p=2,2,2,2", "[3, 4]")], ids=["k2", "k5"]
+    )
+    def test_invalid_config_refused(self, text, gaps):
+        # below k=4 the check is its own, above it is classify's: the same message
+        with pytest.raises(ValueError) as info:
+            exists_failing_seeding(parse_config(text))
+        assert str(info.value) == f"config not valid: |a_j - a_(j+1)| < 2*p constraint fails at gaps {gaps}"
+
     def test_oracle_consistency_with_plan_results(self):
         rng = random.Random(34)
         spec = RegionSpec(k=4, target="all-valid", bound=20)
@@ -735,8 +760,30 @@ class TestCampaign:
         limit = r"^C\(30,15\) seedings are past the survey's limit of C\(28,14\) = 40,116,600$"
         with pytest.raises(ValueError, match=limit):
             campaign(regions, 1, rng_seed=0)
-        with pytest.raises(ValueError, match=limit):
-            campaign(regions + (RegionSpec(k=15, target="UNCLASSIFIED"),), 1, rng_seed=0, oracle=False)
+        # with the oracle off, _decide surveys UNCLASSIFIED samples, which an all-valid region draws
+        for target in ("UNCLASSIFIED", "all-valid"):
+            with pytest.raises(ValueError, match=limit):
+                campaign(regions + (RegionSpec(k=15, target=target),), 1, rng_seed=0, oracle=False)
+
+    def test_survey_limit_mirrors_decide_routing(self, monkeypatch):
+        # with the oracle off, campaign refuses a k=15 region before sampling
+        # iff _decide surveys that region's samples (seen at k=6)
+        targets = cases._region_targets(6) + ("all-valid",)
+        report = campaign([RegionSpec(6, t) for t in targets], 4, rng_seed=0, oracle=False)
+        surveyed = {r.spec.target for r in report.regions if r.oracle_samples}
+        assert surveyed == {"UNCLASSIFIED", "all-valid"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(verify, "sample_config", refuse)
+        refused = set()
+        for target in targets:
+            with pytest.raises((ValueError, AssertionError)) as info:
+                campaign((RegionSpec(15, target),), 1, rng_seed=0, oracle=False)
+            if info.type is ValueError:
+                refused.add(target)
+        assert refused == surveyed
 
     def test_quota_of_decided_certificates(self):
         regions = (RegionSpec(k=4, target="ADD", bound=12),)
